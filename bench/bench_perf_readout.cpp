@@ -90,9 +90,9 @@ BENCHMARK(BM_RerTrials)->Arg(0)->Arg(8);
 // the scalar/batched ratio is the kernel speedup (same contract as
 // BM_LlgSwitchTrials in bench_perf_solvers).
 
-// Enough trials that the runner's chunk subdivision (~64 chunks per run)
-// still leaves full lane-blocks inside each chunk -- at 1024 trials a chunk
-// holds 16 trials, i.e. two 8-wide blocks.
+// Enough trials that nearly every lane block is full: at 1024 trials the
+// runner's 64 chunks of 16 trials group into worker tasks that hold whole
+// blocks of up to 64 trials (blocks may span chunks).
 constexpr std::size_t kDisturbBenchTrials = 1024;
 
 rdo::ReadDisturbConfig bench_disturb_config(std::size_t lanes) {

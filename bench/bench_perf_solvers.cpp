@@ -137,17 +137,70 @@ void BM_LlgRunAdaptiveRk45(benchmark::State& state) {
 }
 BENCHMARK(BM_LlgRunAdaptiveRk45);
 
+// --- thermal noise: one 192-value noise block per engine --------------------
+//
+// The three samplers behind the stochastic-LLG thermal field, on the block
+// the batched kernel draws per slot (3 components x 64 steps). items/s is
+// values/s.
+
+constexpr std::size_t kNoiseBlock = 192;
+
+void BM_NormalFill(benchmark::State& state) {
+  util::Rng rng(7);
+  std::vector<double> out(kNoiseBlock);
+  for (auto _ : state) {
+    rng.normal_fill(out.data(), kNoiseBlock);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kNoiseBlock));
+}
+BENCHMARK(BM_NormalFill);
+
+void BM_NormalFillPair(benchmark::State& state) {
+  util::Rng a(7), b(8);
+  std::vector<double> out_a(kNoiseBlock), out_b(kNoiseBlock);
+  for (auto _ : state) {
+    util::Rng::normal_fill_pair(a, b, out_a.data(), out_b.data(),
+                                kNoiseBlock);
+    benchmark::DoNotOptimize(out_a.data());
+    benchmark::DoNotOptimize(out_b.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * kNoiseBlock));
+}
+BENCHMARK(BM_NormalFillPair);
+
+void BM_NormalFillLanes(benchmark::State& state) {
+  const std::size_t lanes = static_cast<std::size_t>(state.range(0));
+  std::vector<util::Rng> rngs;
+  for (std::size_t l = 0; l < lanes; ++l) rngs.push_back(util::Rng(7 + l));
+  std::vector<double> out(kNoiseBlock * lanes);
+  for (auto _ : state) {
+    util::Rng::normal_fill_lanes(rngs.data(), lanes, out.data(), lanes,
+                                 kNoiseBlock);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kNoiseBlock * lanes));
+}
+BENCHMARK(BM_NormalFillLanes)->Arg(8)->Arg(16);
+
 // --- stochastic-LLG trial loop: scalar vs batched SoA kernel ----------------
 //
-// The hot loop of every switching-time / WER-adjacent stochastic study: B
+// The hot loop of every switching-time / WER-adjacent stochastic study: 64
 // independent thermal trials integrated over a fixed window (mz_stop = -2
 // disables early exit so both paths do identical work). The batched kernel
-// advances the B trials in lockstep over SoA lanes; the items/s rate is
+// takes B trials per call and runs them in its SIMD slots (refilling a
+// slot as its trial ends, so B = 64 is one call); the items/s rate is
 // trials/s, so the batched-vs-scalar ratio at the same trial count is the
 // throughput speedup of the migration. BENCH_llg_batch.json commits these
 // numbers (see README "Performance").
 
-constexpr std::size_t kLlgBenchTrials = 16;
+constexpr std::size_t kLlgBenchTrials = 64;
 constexpr double kLlgBenchDuration = 1e-9;
 constexpr double kLlgBenchDt = 1e-12;
 
@@ -195,7 +248,7 @@ void BM_LlgSwitchTrialsBatched(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kLlgBenchTrials));
 }
-BENCHMARK(BM_LlgSwitchTrialsBatched)->Arg(1)->Arg(4)->Arg(8)->Arg(16);
+BENCHMARK(BM_LlgSwitchTrialsBatched)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
 // --- cached coupling kernel -------------------------------------------------
 

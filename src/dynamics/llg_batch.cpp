@@ -1,6 +1,8 @@
 #include "dynamics/llg_batch.h"
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <type_traits>
 
 #include "dynamics/llg_heun_step.h"
@@ -24,18 +26,18 @@
 // Runtime-dispatched SIMD width for the lane loop on x86-64: the portable
 // baseline only guarantees SSE2 (2 doubles/op), so the default build would
 // leave a lot on the table on AVX machines. target_clones emits one clone
-// per ISA plus an ifunc resolver picked at load time. The clone list is
-// width-dependent: one Heun step is a serial dependency chain, so at the
-// default 8-lane width an AVX-512 clone packs the whole block into a single
-// latency-bound zmm chain, and measured slower than two interleaved ymm
-// chains (plus heavy zmm sqrt/div and license downclocking) -- the generic
-// and 8-lane kernels therefore stop at AVX2. At 16 lanes the block fills
-// two independent zmm chains and AVX-512 pays off, so the dedicated w16
-// kernel adds an avx512f clone and preferred_lanes() steers the drivers to
-// 16-lane blocks on CPUs that have it. Safe for the bit-identity contract
-// because vectorization only reorders *independent lanes*, never the
-// within-lane operation sequence, and the build pins -ffp-contract=off so
-// no clone can fuse multiply-adds.
+// per ISA plus an ifunc resolver picked at load time. The clone list
+// depends on the slot width W of step_lanes<W>: one Heun step is a serial
+// dependency chain, so at W = 8 an AVX-512 clone packs the whole block into
+// a single latency-bound zmm chain, and measured slower than two
+// interleaved ymm chains (plus heavy zmm sqrt/div and license
+// downclocking) -- the 8-slot entry point therefore stops at AVX2. At
+// W = 16 the block fills two independent zmm chains and AVX-512 pays off,
+// so the 16-slot entry point adds an avx512f clone, and preferred_lanes()
+// runs every call of more than 8 trials at 16 slots on CPUs that have it.
+// Safe for the bit-identity contract because vectorization only reorders
+// *independent lanes*, never the within-lane operation sequence, and the
+// build pins -ffp-contract=off so no clone can fuse multiply-adds.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define MRAM_SIMD_CLONES __attribute__((target_clones("avx2", "default")))
 #define MRAM_SIMD_CLONES_W16 \
@@ -65,39 +67,39 @@ BatchMacrospinSim::BatchMacrospinSim(const LlgParams& params)
 
 namespace {
 
-/// Steps per thermal-noise prefetch block: one normal_fill call (and one
-/// kernel call, absent switching) covers this many steps per lane.
+/// Steps per thermal-noise block: one normal_fill_lanes call (and one
+/// kernel call, absent crossings and refills) covers this many steps.
 constexpr std::size_t kNoiseBlockSteps = 64;
+/// Field rows per noise block: three components per step.
+constexpr std::size_t kNoiseRows = 3 * kNoiseBlockSteps;
 
-// Lockstep Heun steps for the first n active slots, up to `steps` of them:
-// the canonical stochastic_heun_step (shared with the scalar reference
-// path, so each lane is bit-identical to it by construction) inlined into a
-// per-lane loop over the SoA arrays, where the independent lanes fill the
-// FP pipelines and auto-vectorize. Step s reads its per-lane field from row
-// s of the [step][slot] field matrices (h_stride = 0 reuses row 0: the
-// constant-field sigma == 0 case). Returns after the first step at which
-// any lane crossed -- crossed[] then identifies the finished lanes -- or
-// after `steps` steps, whichever is first; the return value is the number
-// of steps executed. A free function with restrict-qualified *parameters*:
-// GCC only honors restrict on parameters, and without it the possible
-// aliasing between the arrays blocks vectorization.
-template <bool kHasTorque, bool kHasTilt>
-MRAM_ALWAYS_INLINE std::size_t step_lanes_body(
-    std::size_t n, std::size_t steps, std::size_t h_stride,
+// Lockstep Heun steps over all W slots, up to a.steps of them: the
+// canonical stochastic_heun_step (shared with the scalar reference path,
+// so each lane is bit-identical to it by construction) inlined into a
+// fixed-width loop over the SoA arrays, where the independent lanes fill
+// the FP pipelines and vectorize without a remainder loop. Each slot also
+// advances its own clock, t += dt, exactly like the scalar loop. Returns
+// after the first step at which any slot crossed -- crossed[] then names
+// the finished slots -- or after a.steps steps, whichever is first; the
+// return value is the number of steps executed. The restrict-qualified
+// pointers are *parameters*: GCC only honors restrict there, and without
+// it the possible aliasing between the arrays blocks vectorization.
+template <std::size_t W, bool kHasTorque, bool kHasTilt>
+MRAM_ALWAYS_INLINE std::size_t step_lanes(
+    std::size_t steps, const double* MRAM_RESTRICT h, std::size_t h_stride,
     double* MRAM_RESTRICT mx, double* MRAM_RESTRICT my,
-    double* MRAM_RESTRICT mz, const double* MRAM_RESTRICT hxm,
-    const double* MRAM_RESTRICT hym, const double* MRAM_RESTRICT hzm,
-    const double* MRAM_RESTRICT sign, double* MRAM_RESTRICT crossed,
-    double* MRAM_RESTRICT logw, const detail::HeunStepCoeffs& coeffs,
+    double* MRAM_RESTRICT mz, const double* MRAM_RESTRICT sign,
+    double* MRAM_RESTRICT crossed, double* MRAM_RESTRICT logw,
+    double* MRAM_RESTRICT t, const detail::HeunStepCoeffs& coeffs,
     const detail::TiltWeightCoeffs& wcoeffs, double mz_stop) {
   const detail::HeunStepCoeffs c = coeffs;  // loop-invariant locals
   const detail::TiltWeightCoeffs w = wcoeffs;
   for (std::size_t s = 0; s < steps; ++s) {
-    const double* MRAM_RESTRICT hx = hxm + s * h_stride;
-    const double* MRAM_RESTRICT hy = hym + s * h_stride;
-    const double* MRAM_RESTRICT hz = hzm + s * h_stride;
+    const double* MRAM_RESTRICT hx = h + s * h_stride;
+    const double* MRAM_RESTRICT hy = hx + W;
+    const double* MRAM_RESTRICT hz = hx + 2 * W;
     double any = 0.0;
-    for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t a = 0; a < W; ++a) {
       if constexpr (kHasTilt) {
         // Same expression, same assembled-field inputs, same step order as
         // the scalar loop's accumulation -- bit-identical log weights. The
@@ -107,6 +109,7 @@ MRAM_ALWAYS_INLINE std::size_t step_lanes_body(
       }
       detail::stochastic_heun_step<kHasTorque>(c, hx[a], hy[a], hz[a], mx[a],
                                                my[a], mz[a]);
+      t[a] += c.dt;
       const double flag = (sign[a] * (mz[a] - mz_stop) < 0.0) ? 1.0 : 0.0;
       crossed[a] = flag;
       any += flag;
@@ -116,303 +119,311 @@ MRAM_ALWAYS_INLINE std::size_t step_lanes_body(
   return steps;
 }
 
+// The two out-of-line entry points of step_lanes, one per slot width, each
+// with its own clone list (see above). They repeat the restrict-qualified
+// parameter list because restrict survives only on the parameters of the
+// function that is actually compiled.
+#define MRAM_STEP_LANES_PARAMS                                                \
+  std::size_t steps, const double* MRAM_RESTRICT h, std::size_t h_stride,    \
+      double* MRAM_RESTRICT mx, double* MRAM_RESTRICT my,                    \
+      double* MRAM_RESTRICT mz, const double* MRAM_RESTRICT sign,            \
+      double* MRAM_RESTRICT crossed, double* MRAM_RESTRICT logw,             \
+      double* MRAM_RESTRICT t, const detail::HeunStepCoeffs& coeffs,         \
+      const detail::TiltWeightCoeffs& wcoeffs, double mz_stop
+#define MRAM_STEP_LANES_ARGS                                                  \
+  steps, h, h_stride, mx, my, mz, sign, crossed, logw, t, coeffs, wcoeffs,    \
+      mz_stop
+
 template <bool kHasTorque, bool kHasTilt>
-MRAM_NOINLINE MRAM_SIMD_CLONES std::size_t step_lanes_block(
-    std::size_t n, std::size_t steps, std::size_t h_stride,
-    double* MRAM_RESTRICT mx, double* MRAM_RESTRICT my,
-    double* MRAM_RESTRICT mz, const double* MRAM_RESTRICT hxm,
-    const double* MRAM_RESTRICT hym, const double* MRAM_RESTRICT hzm,
-    const double* MRAM_RESTRICT sign, double* MRAM_RESTRICT crossed,
-    double* MRAM_RESTRICT logw, const detail::HeunStepCoeffs& coeffs,
-    const detail::TiltWeightCoeffs& wcoeffs, double mz_stop) {
-  return step_lanes_body<kHasTorque, kHasTilt>(n, steps, h_stride, mx, my,
-                                               mz, hxm, hym, hzm, sign,
-                                               crossed, logw, coeffs,
-                                               wcoeffs, mz_stop);
+MRAM_NOINLINE MRAM_SIMD_CLONES std::size_t step_lanes_w8(
+    MRAM_STEP_LANES_PARAMS) {
+  return step_lanes<BatchMacrospinSim::kDefaultLanes, kHasTorque, kHasTilt>(
+      MRAM_STEP_LANES_ARGS);
 }
 
-// Fixed-width specialization for full kDefaultLanes blocks -- the common
-// case by far. The compile-time lane count removes the vector epilogue and
-// all dynamic-bound loop overhead from the hot step loop.
 template <bool kHasTorque, bool kHasTilt>
-MRAM_NOINLINE MRAM_SIMD_CLONES std::size_t step_lanes_block_w8(
-    std::size_t steps, std::size_t h_stride, double* MRAM_RESTRICT mx,
-    double* MRAM_RESTRICT my, double* MRAM_RESTRICT mz,
-    const double* MRAM_RESTRICT hxm, const double* MRAM_RESTRICT hym,
-    const double* MRAM_RESTRICT hzm, const double* MRAM_RESTRICT sign,
-    double* MRAM_RESTRICT crossed, double* MRAM_RESTRICT logw,
-    const detail::HeunStepCoeffs& coeffs,
-    const detail::TiltWeightCoeffs& wcoeffs, double mz_stop) {
-  static_assert(BatchMacrospinSim::kDefaultLanes == 8);
-  return step_lanes_body<kHasTorque, kHasTilt>(8, steps, h_stride, mx, my,
-                                               mz, hxm, hym, hzm, sign,
-                                               crossed, logw, coeffs,
-                                               wcoeffs, mz_stop);
+MRAM_NOINLINE MRAM_SIMD_CLONES_W16 std::size_t step_lanes_w16(
+    MRAM_STEP_LANES_PARAMS) {
+  return step_lanes<BatchMacrospinSim::kAvx512Lanes, kHasTorque, kHasTilt>(
+      MRAM_STEP_LANES_ARGS);
 }
 
-// Fixed 16-lane specialization, the only kernel with an avx512f clone: two
-// independent zmm dependency chains keep the wide units busy where a single
-// 8-lane chain cannot (see the clone-list comment above).
-template <bool kHasTorque, bool kHasTilt>
-MRAM_NOINLINE MRAM_SIMD_CLONES_W16 std::size_t step_lanes_block_w16(
-    std::size_t steps, std::size_t h_stride, double* MRAM_RESTRICT mx,
-    double* MRAM_RESTRICT my, double* MRAM_RESTRICT mz,
-    const double* MRAM_RESTRICT hxm, const double* MRAM_RESTRICT hym,
-    const double* MRAM_RESTRICT hzm, const double* MRAM_RESTRICT sign,
-    double* MRAM_RESTRICT crossed, double* MRAM_RESTRICT logw,
-    const detail::HeunStepCoeffs& coeffs,
-    const detail::TiltWeightCoeffs& wcoeffs, double mz_stop) {
-  static_assert(BatchMacrospinSim::kAvx512Lanes == 16);
-  return step_lanes_body<kHasTorque, kHasTilt>(16, steps, h_stride, mx, my,
-                                               mz, hxm, hym, hzm, sign,
-                                               crossed, logw, coeffs,
-                                               wcoeffs, mz_stop);
+/// Slot width of calls with more than kDefaultLanes trials.
+std::size_t wide_slots() {
+  static const std::size_t w = [] {
+#if MRAM_HAS_AVX512_DISPATCH
+    if (__builtin_cpu_supports("avx512f")) {
+      return BatchMacrospinSim::kAvx512Lanes;
+    }
+#endif
+    return BatchMacrospinSim::kDefaultLanes;
+  }();
+  return w;
+}
+
+/// Step budget of each window: the iteration count of the scalar loop
+/// `for (t = 0; t < d; t += dt)`. The loop's exact floating-point time
+/// accumulation is replayed once per call, visiting the windows in
+/// ascending order, so each distinct window costs no extra additions.
+void step_budgets(const double* durations, std::size_t n, double dt,
+                  std::size_t* budget) {
+  std::size_t order[BatchMacrospinSim::kMaxTrials];
+  std::iota(order, order + n, std::size_t{0});
+  std::sort(order, order + n, [durations](std::size_t a, std::size_t b) {
+    return durations[a] < durations[b];
+  });
+  double t = 0.0;
+  std::size_t steps = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = durations[order[i]];
+    for (; t < d; ++steps) t += dt;
+    budget[order[i]] = steps;
+  }
 }
 
 }  // namespace
 
 std::size_t BatchMacrospinSim::preferred_lanes() {
-  std::size_t lanes = kDefaultLanes;
-#if MRAM_HAS_AVX512_DISPATCH
-  if (__builtin_cpu_supports("avx512f")) lanes = kAvx512Lanes;
-#endif
+  const std::size_t lanes = wide_slots();
   obs::gauge_set(obs::Gauge::kLlgPreferredLanes,
                  static_cast<double>(lanes));
   return lanes;
 }
 
-void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
+void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
                                          util::Rng* rngs, double duration,
                                          double dt, SwitchResult* out,
                                          double mz_stop, const Vec3& tilt) {
-  MRAM_EXPECTS(lanes > 0, "need at least one lane");
-  durations_.assign(lanes, duration);
-  run_until_switch(lanes, m0, rngs, durations_.data(), dt, out, mz_stop,
-                   tilt);
+  MRAM_EXPECTS(n > 0 && n <= kMaxTrials, "need 1 to 64 trials per call");
+  double durations[kMaxTrials];
+  std::fill(durations, durations + n, duration);
+  run_until_switch(n, m0, rngs, durations, dt, out, mz_stop, tilt);
 }
 
-void BatchMacrospinSim::run_until_switch(std::size_t lanes, const Vec3* m0,
+void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
                                          util::Rng* rngs,
                                          const double* durations, double dt,
                                          SwitchResult* out, double mz_stop,
                                          const Vec3& tilt) {
   MRAM_EXPECTS(dt > 0.0, "invalid integration step");
-  MRAM_EXPECTS(lanes > 0, "need at least one lane");
-  obs::counter_add(obs::Counter::kLlgLanesEntered, lanes);
-
-  mx_.resize(lanes);
-  my_.resize(lanes);
-  mz_.resize(lanes);
-  h0x_.resize(lanes);
-  h0y_.resize(lanes);
-  h0z_.resize(lanes);
-  sign_.resize(lanes);
-  crossed_.resize(lanes);
-  logw_.resize(lanes);
-  budget_.resize(lanes);
-  lane_of_.resize(lanes);
-
-  for (std::size_t l = 0; l < lanes; ++l) {
+  MRAM_EXPECTS(n > 0 && n <= kMaxTrials, "need 1 to 64 trials per call");
+  for (std::size_t l = 0; l < n; ++l) {
     MRAM_EXPECTS(std::abs(num::norm(m0[l]) - 1.0) < 1e-6,
                  "m0 must be a unit vector");
     MRAM_EXPECTS(durations[l] > 0.0, "invalid integration window");
-    mx_[l] = m0[l].x;
-    my_[l] = m0[l].y;
-    mz_[l] = m0[l].z;
-    h0x_[l] = params_.h_applied.x;
-    h0y_[l] = params_.h_applied.y;
-    h0z_[l] = params_.h_applied.z;
-    sign_[l] = (m0[l].z >= mz_stop) ? 1.0 : -1.0;
-    crossed_[l] = 0.0;
-    logw_[l] = 0.0;
-    lane_of_[l] = l;
-    // Step budget of lane l: the number of iterations the scalar while-loop
-    // executes for durations[l], replayed with the scalar path's exact
-    // floating-point time accumulation so both paths agree on every window.
-    std::size_t n = 0;
-    for (double tt = 0.0; tt < durations[l]; ++n) tt += dt;
-    budget_[l] = n;
-    out[l] = {false, durations[l], 0.0, m0[l]};
   }
+  obs::counter_add(obs::Counter::kLlgLanesEntered, n);
+  std::size_t budget[kMaxTrials];
+  step_budgets(durations, n, dt, budget);
 
+  std::size_t W = (n <= kDefaultLanes) ? kDefaultLanes : wide_slots();
   const double sigma = thermal_field_sigma(params_, dt);
   const bool has_torque = (rhs_.aj != 0.0);
   const bool has_tilt =
       sigma > 0.0 && (tilt.x != 0.0 || tilt.y != 0.0 || tilt.z != 0.0);
-  const Vec3 ha = params_.h_applied;
-  const auto coeffs = detail::HeunStepCoeffs::from(rhs_, dt);
-  const auto wcoeffs = detail::TiltWeightCoeffs::from(tilt, ha, sigma);
+  const double ha[3] = {params_.h_applied.x, params_.h_applied.y,
+                        params_.h_applied.z};
   const double tilt_arr[3] = {tilt.x, tilt.y, tilt.z};
-  const std::size_t cap = lanes;  // column count of the field matrices
+  const auto coeffs = detail::HeunStepCoeffs::from(rhs_, dt);
+  const auto wcoeffs =
+      detail::TiltWeightCoeffs::from(tilt, params_.h_applied, sigma);
 
-  // Thermal history is prefetched per lane in blocks of kNoiseBlockSteps
-  // steps: one paired normal_fill call amortizes its dispatch over 3 * 64
-  // values and scatters them straight into the [step][slot] raw-noise
-  // matrices (no transpose pass), so the kernel consumes a whole block per
-  // call with plain contiguous vector loads, applying the scalar loop's
-  // exact field transform h = h_applied + sigma * n lane-parallel as it
-  // goes. normal_fill's stream consistency (one big fill == many 3-value
-  // fills) keeps the consumed values identical to the scalar path's
-  // per-step draws. Under a tilt the same raw stream gets the scalar
-  // path's periodic mean shift applied post-draw (normal_fill_*_tilted).
-  if (sigma > 0.0) {
-    scratch_.resize(2 * 3 * kNoiseBlockSteps);
-    hxm_.resize(kNoiseBlockSteps * cap);
-    hym_.resize(kNoiseBlockSteps * cap);
-    hzm_.resize(kNoiseBlockSteps * cap);
-  }
+  // Slot state. An empty slot keeps a unit vector and sign 0, so it steps
+  // harmlessly and never reports a crossing.
+  constexpr std::size_t kSlots = kAvx512Lanes;
+  constexpr std::size_t kEmpty = kMaxTrials;
+  alignas(64) double mx[kSlots] = {}, my[kSlots] = {}, mz[kSlots] = {};
+  alignas(64) double sign[kSlots] = {}, crossed[kSlots] = {};
+  alignas(64) double logw[kSlots] = {}, t[kSlots] = {};
+  std::size_t trial[kSlots];
+  std::size_t left[kSlots] = {};
+  // Working copies of the slots' engines, contiguous for
+  // normal_fill_lanes; copied back into rngs[] when a trial retires. An
+  // empty slot's engine is never a trial's stream.
+  util::Rng slot_rng[kSlots];
+  std::fill(mz, mz + kSlots, 1.0);
+  std::fill(trial, trial + kSlots, kEmpty);
 
-  std::size_t n_active = lanes;
-  double t = 0.0;
-  std::size_t steps_done = 0;  // shared lockstep clock, starts at step 0
-  std::size_t phase = 0;  // step index within the current noise block
-  while (n_active > 0) {
-    std::size_t steps_avail = kNoiseBlockSteps;
-    const double* hxm = h0x_.data();
-    const double* hym = h0y_.data();
-    const double* hzm = h0z_.data();
-    std::size_t h_stride = 0;
-    if (sigma > 0.0) {
-      if (phase == 0) {
-        constexpr std::size_t kPerLane = 3 * kNoiseBlockSteps;
-        const auto transform_into = [&](std::size_t slot, const double* raw) {
-          for (std::size_t s = 0; s < kNoiseBlockSteps; ++s) {
-            hxm_[s * cap + slot] = ha.x + sigma * raw[3 * s];
-            hym_[s * cap + slot] = ha.y + sigma * raw[3 * s + 1];
-            hzm_[s * cap + slot] = ha.z + sigma * raw[3 * s + 2];
-          }
-        };
-        std::size_t a = 0;
-        for (; a + 1 < n_active; a += 2) {
-          if (has_tilt) {
-            util::Rng::normal_fill_pair_tilted(
-                rngs[lane_of_[a]], rngs[lane_of_[a + 1]], scratch_.data(),
-                scratch_.data() + kPerLane, kPerLane, tilt_arr, 3);
-          } else {
-            util::Rng::normal_fill_pair(rngs[lane_of_[a]],
-                                        rngs[lane_of_[a + 1]],
-                                        scratch_.data(),
-                                        scratch_.data() + kPerLane, kPerLane);
-          }
-          transform_into(a, scratch_.data());
-          transform_into(a + 1, scratch_.data() + kPerLane);
-        }
-        if (a < n_active) {
-          if (has_tilt) {
-            rngs[lane_of_[a]].normal_fill_tilted(scratch_.data(), kPerLane,
-                                                 tilt_arr, 3);
-          } else {
-            rngs[lane_of_[a]].normal_fill(scratch_.data(), kPerLane);
-          }
-          transform_into(a, scratch_.data());
-        }
+  // Constant field of the sigma == 0 case: one step's x, y and z rows of W
+  // slots each, read with stride 0 (laid out again if W narrows).
+  alignas(64) double h0[3 * kSlots];
+  const auto fill_h0 = [&] {
+    for (std::size_t c = 0; c < 3; ++c) {
+      std::fill(h0 + c * W, h0 + (c + 1) * W, ha[c]);
+    }
+  };
+  fill_h0();
+  if (sigma > 0.0) field_.resize(kNoiseRows * W);
+  double* field = field_.data();
+
+  // Noise rows [row0, kNoiseRows) of slots [a0, a1): the raw deviates
+  // turned into the scalar loop's field h = h_applied + sigma * (z + tilt)
+  // (the tilt is the mean shift normal_fill_tilted adds after the draw).
+  const auto draw_field = [&](std::size_t a0, std::size_t a1,
+                              std::size_t row0) {
+    util::Rng::normal_fill_lanes(slot_rng + a0, a1 - a0,
+                                 field + row0 * W + a0, W,
+                                 kNoiseRows - row0);
+    for (std::size_t row = row0; row < kNoiseRows; ++row) {
+      const std::size_t c = row % 3;
+      double* f = field + row * W;
+      for (std::size_t a = a0; a < a1; ++a) {
+        f[a] = ha[c] + sigma * (has_tilt ? f[a] + tilt_arr[c] : f[a]);
       }
-      steps_avail = kNoiseBlockSteps - phase;
-      hxm = hxm_.data() + phase * cap;
-      hym = hym_.data() + phase * cap;
-      hzm = hzm_.data() + phase * cap;
-      h_stride = cap;
     }
+  };
 
-    // Steps this kernel call may run: capped by the noise block and by the
-    // smallest remaining per-lane budget, so no lane ever oversteps its own
-    // window. Active lanes always have budget left (exhausted lanes retire
-    // below), so min_left >= 1.
-    std::size_t min_left = budget_[0] - steps_done;
-    for (std::size_t a = 1; a < n_active; ++a) {
-      min_left = std::min(min_left, budget_[a] - steps_done);
-    }
-    const std::size_t remaining = std::min(steps_avail, min_left);
+  std::size_t next = 0;   // next pending trial
+  std::size_t live = 0;   // slots holding a trial
+  std::size_t phase = 0;  // step index within the current noise block
+  const auto load = [&](std::size_t a) {
+    if (next == n) return;
+    const std::size_t l = next++;
+    mx[a] = m0[l].x;
+    my[a] = m0[l].y;
+    mz[a] = m0[l].z;
+    sign[a] = (m0[l].z >= mz_stop) ? 1.0 : -1.0;
+    logw[a] = 0.0;
+    t[a] = 0.0;
+    left[a] = budget[l];
+    slot_rng[a] = rngs[l];
+    trial[a] = l;
+    ++live;
+  };
+  for (std::size_t a = 0; a < W; ++a) load(a);
 
-    const auto kernel = [&](auto torque, auto tilted) -> std::size_t {
+  const auto kernel = [&](std::size_t steps, const double* h,
+                          std::size_t h_stride) -> std::size_t {
+    const auto run = [&](auto torque, auto tilted) -> std::size_t {
       constexpr bool kT = decltype(torque)::value;
       constexpr bool kW = decltype(tilted)::value;
-      if (n_active == kDefaultLanes) {
-        obs::counter_add(obs::Counter::kLlgBlocksW8);
-        obs::tag_kernel(obs::KernelTag::kLlgW8);
-        return step_lanes_block_w8<kT, kW>(
-            remaining, h_stride, mx_.data(), my_.data(), mz_.data(), hxm,
-            hym, hzm, sign_.data(), crossed_.data(), logw_.data(), coeffs,
-            wcoeffs, mz_stop);
-      }
-      if (n_active == kAvx512Lanes) {
+      if (W == kAvx512Lanes) {
         obs::counter_add(obs::Counter::kLlgBlocksW16);
         obs::tag_kernel(obs::KernelTag::kLlgW16);
-        return step_lanes_block_w16<kT, kW>(
-            remaining, h_stride, mx_.data(), my_.data(), mz_.data(), hxm,
-            hym, hzm, sign_.data(), crossed_.data(), logw_.data(), coeffs,
-            wcoeffs, mz_stop);
+        return step_lanes_w16<kT, kW>(steps, h, h_stride, mx, my, mz, sign,
+                                      crossed, logw, t, coeffs, wcoeffs,
+                                      mz_stop);
       }
-      obs::counter_add(obs::Counter::kLlgBlocksGeneric);
-      obs::tag_kernel(obs::KernelTag::kLlgGeneric);
-      return step_lanes_block<kT, kW>(n_active, remaining, h_stride,
-                                      mx_.data(), my_.data(), mz_.data(),
-                                      hxm, hym, hzm, sign_.data(),
-                                      crossed_.data(), logw_.data(), coeffs,
-                                      wcoeffs, mz_stop);
+      obs::counter_add(obs::Counter::kLlgBlocksW8);
+      obs::tag_kernel(obs::KernelTag::kLlgW8);
+      return step_lanes_w8<kT, kW>(steps, h, h_stride, mx, my, mz, sign,
+                                   crossed, logw, t, coeffs, wcoeffs,
+                                   mz_stop);
     };
-    const auto dispatch = [&](auto torque) -> std::size_t {
-      return has_tilt ? kernel(torque, std::true_type{})
-                      : kernel(torque, std::false_type{});
+    const auto by_tilt = [&](auto torque) -> std::size_t {
+      return has_tilt ? run(torque, std::true_type{})
+                      : run(torque, std::false_type{});
     };
-    const std::size_t done = has_torque ? dispatch(std::true_type{})
-                                        : dispatch(std::false_type{});
-    // Occupancy bookkeeping: lane-steps actually executed vs the capacity
-    // the entry width would have given (the compaction-efficiency ratio).
+    return has_torque ? by_tilt(std::true_type{})
+                      : by_tilt(std::false_type{});
+  };
+
+  while (live > 0) {
+    const double* h = h0;
+    std::size_t h_stride = 0;
+    std::size_t steps = kNoiseBlockSteps;
+    if (sigma > 0.0) {
+      if (phase == 0) draw_field(0, W, 0);
+      h = field + 3 * phase * W;
+      h_stride = 3 * W;
+      steps = kNoiseBlockSteps - phase;
+    }
+    // Never step a trial past its own window: live slots always have
+    // budget left (exhausted ones retire below), so steps >= 1.
+    for (std::size_t a = 0; a < W; ++a) {
+      if (trial[a] != kEmpty) steps = std::min(steps, left[a]);
+    }
+    const std::size_t done = kernel(steps, h, h_stride);
+
+    // Occupancy bookkeeping: lane-steps of live slots against the slot
+    // capacity the kernel paid for.
     obs::counter_add(obs::Counter::kLlgNoiseBlocks);
     obs::counter_add(obs::Counter::kLlgLaneSteps,
-                     static_cast<std::uint64_t>(done) * n_active);
+                     static_cast<std::uint64_t>(done) * live);
     obs::counter_add(obs::Counter::kLlgLaneStepCapacity,
-                     static_cast<std::uint64_t>(done) * lanes);
+                     static_cast<std::uint64_t>(done) * W);
     obs::counter_add(obs::Counter::kLlgFlops,
-                     static_cast<std::uint64_t>(done) * n_active *
+                     static_cast<std::uint64_t>(done) * live *
                          (has_torque ? detail::kHeunStepFlopsTorque
                                      : detail::kHeunStepFlops));
-    for (std::size_t s = 0; s < done; ++s) t += dt;
-    steps_done += done;
     if (sigma > 0.0) phase = (phase + done) % kNoiseBlockSteps;
 
-    bool any_finished = false;
-    for (std::size_t a = 0; a < n_active; ++a) {
-      any_finished |= (crossed_[a] != 0.0) || (steps_done >= budget_[a]);
-    }
-    if (!any_finished) continue;
-    // Compact finished lanes out of the active set (order-preserving, so
-    // slot order stays the trial-index order within the block), dragging
-    // the remaining rows of the field matrices along. A crossing takes
-    // precedence over budget exhaustion, exactly like the scalar loop's
-    // final-step check.
-    std::size_t w = 0;
-    for (std::size_t a = 0; a < n_active; ++a) {
-      const std::size_t l = lane_of_[a];
-      if (crossed_[a] != 0.0) {
+    // Retire finished trials and refill their slots in trial order. A
+    // crossing takes precedence over budget exhaustion, exactly like the
+    // scalar loop's final-step check. A slot refilled mid-block draws the
+    // rest of the block from its new stream; runs of adjacent refilled
+    // slots draw together.
+    std::size_t run_lo = 0;
+    std::size_t run_hi = 0;
+    const auto flush_run = [&] {
+      if (run_hi > run_lo && sigma > 0.0 && phase != 0) {
+        draw_field(run_lo, run_hi, 3 * phase);
+      }
+      run_lo = run_hi = 0;
+    };
+    for (std::size_t a = 0; a < W; ++a) {
+      const std::size_t l = trial[a];
+      if (l == kEmpty) continue;
+      left[a] -= done;
+      const Vec3 m{mx[a], my[a], mz[a]};
+      if (crossed[a] != 0.0) {
         obs::counter_add(obs::Counter::kLlgLanesEarlyExit);
-        out[l] = {true, t, logw_[a], {mx_[a], my_[a], mz_[a]}};
+        out[l] = {true, t[a], logw[a], m};
+      } else if (left[a] == 0) {
+        out[l] = {false, durations[l], logw[a], m};
+      } else {
         continue;
       }
-      if (steps_done >= budget_[a]) {
-        out[l] = {false, durations[l], logw_[a], {mx_[a], my_[a], mz_[a]}};
-        continue;
+      rngs[l] = slot_rng[a];
+      trial[a] = kEmpty;
+      sign[a] = 0.0;
+      --live;
+      load(a);
+      if (trial[a] == kEmpty) continue;
+      if (run_hi != a) flush_run();
+      if (run_hi == run_lo) run_lo = a;
+      run_hi = a + 1;
+    }
+    flush_run();
+
+    // Drain: once no trial is pending and at most 8 slots are live, move
+    // them into the low 8 slots and finish at the narrow width, so the
+    // last trials of a call do not pay for 16 lanes. Slot order is free:
+    // results go out by trial index.
+    if (W == kAvx512Lanes && next == n && live > 0 && live <= kDefaultLanes) {
+      constexpr std::size_t kNarrow = kDefaultLanes;
+      std::size_t src[kNarrow];
+      std::size_t hole = 0;
+      for (std::size_t a = 0; a < kNarrow; ++a) src[a] = a;
+      for (std::size_t a = kNarrow; a < kAvx512Lanes; ++a) {
+        if (trial[a] == kEmpty) continue;
+        while (trial[hole] != kEmpty) ++hole;
+        src[hole] = a;
+        mx[hole] = mx[a];
+        my[hole] = my[a];
+        mz[hole] = mz[a];
+        sign[hole] = sign[a];
+        logw[hole] = logw[a];
+        t[hole] = t[a];
+        left[hole] = left[a];
+        slot_rng[hole] = slot_rng[a];
+        trial[hole] = trial[a];
+        trial[a] = kEmpty;
       }
-      if (w != a) {
-        mx_[w] = mx_[a];
-        my_[w] = my_[a];
-        mz_[w] = mz_[a];
-        sign_[w] = sign_[a];
-        logw_[w] = logw_[a];
-        budget_[w] = budget_[a];
-        lane_of_[w] = lane_of_[a];
-        if (sigma > 0.0 && phase != 0) {
-          for (std::size_t s = phase; s < kNoiseBlockSteps; ++s) {
-            hxm_[s * cap + w] = hxm_[s * cap + a];
-            hym_[s * cap + w] = hym_[s * cap + a];
-            hzm_[s * cap + w] = hzm_[s * cap + a];
+      if (sigma > 0.0 && phase != 0) {
+        // Re-lay the rest of the block at row stride 8, in ascending rows:
+        // row r's new place never overlaps an old row not yet read.
+        for (std::size_t row = 3 * phase; row < kNoiseRows; ++row) {
+          double v[kNarrow];
+          for (std::size_t a = 0; a < kNarrow; ++a) {
+            v[a] = field[row * kAvx512Lanes + src[a]];
           }
+          std::copy(v, v + kNarrow, field + row * kNarrow);
         }
       }
-      ++w;
+      W = kNarrow;
+      fill_h0();
     }
-    n_active = w;
   }
 }
 

@@ -11,45 +11,56 @@
 //
 // MacrospinSim::run_until_switch integrates one trial at a time: every Heun
 // stage is a serial dependency chain of ~100 flops, so a superscalar core
-// spends most of each step waiting on latencies. BatchMacrospinSim advances
-// a lane-block of B *independent* trials in lockstep over SoA double arrays.
-// The per-lane step is the canonical stochastic_heun_step shared with the
-// scalar path (llg_heun_step.h), inlined into a lane loop that the compiler
-// auto-vectorizes -- with AVX2 and (for 16-lane blocks) AVX-512 clones
-// dispatched at load time on x86-64 (see llg_batch.cpp for why the width
-// matters) -- and driven for up to a whole thermal-noise block (64 steps)
-// per kernel call, with an early return as soon as any lane's mz crosses
-// the stop plane.
+// spends most of each step waiting on latencies. BatchMacrospinSim keeps W
+// *independent* trials in flight in W lane slots and advances them in
+// lockstep over SoA double arrays. W is fixed per call: preferred_lanes()
+// (16 on hosts with an AVX-512 clone, else 8), or 8 for calls of at most 8
+// trials. The per-lane step is the canonical stochastic_heun_step shared
+// with the scalar path (llg_heun_step.h), inlined into one fixed-width
+// kernel template (step_lanes<W>) that the compiler vectorizes -- with
+// AVX2 and, at 16 lanes, AVX-512 clones dispatched at load time on x86-64
+// (see llg_batch.cpp for why the width matters) -- and driven for up to a
+// whole thermal-noise block (64 steps) per kernel call, with an early
+// return as soon as any lane's mz crosses the stop plane.
 //
-// Determinism contract: lane l draws its thermal field from its own
-// util::Rng via Rng::normal_fill (the same sampler and order the scalar
-// path consumes), and the per-lane arithmetic is the same inline code, so
-// every lane's SwitchResult is bit-identical to
-// MacrospinSim::run_until_switch on the same stream -- tests/test_dynamics
-// asserts this, remainder blocks and B=1 included. Finished lanes are
-// compacted out of the active set so a block whose trials switch early
-// stops costing work.
+// A call takes up to 64 trials. The first W start in the W slots; when a
+// slot's trial finishes (crossing or exhausted window) the slot is
+// refilled at once with the next pending trial, in trial order, so the
+// kernel keeps running full width until the call's trials run out. Slots
+// left without a trial at the end of a call run masked: they never cross,
+// and they draw noise only from engines that are not a trial's stream.
+//
+// Determinism contract: each slot draws its thermal field from its trial's
+// own util::Rng via Rng::normal_fill_lanes (the same values, in the same
+// order, that the scalar path's per-step normal_fill consumes; a slot
+// refilled partway through a noise block draws the rest of that block from
+// its new stream, which normal_fill's split consistency makes the same
+// values), accumulates its own time from its own first step, and runs the
+// same inline arithmetic -- so every trial's SwitchResult is bit-identical
+// to MacrospinSim::run_until_switch on the same stream. tests/test_dynamics
+// asserts this for trial counts that do and do not fill the slots.
 
 namespace mram::dyn {
 
 class BatchMacrospinSim {
  public:
-  /// Default lane-block width of the batched Monte Carlo paths. Wide enough
-  /// to keep 8 independent Heun chains in flight (two interleaved 4-wide
-  /// AVX2 vectors on x86-64), small enough that early-switching lanes do
-  /// not leave much dead work before compaction.
+  /// Slot width of calls with at most 8 trials, and of every call on hosts
+  /// without an AVX-512 clone: 8 independent Heun chains fill two
+  /// interleaved 4-wide AVX2 vectors.
   static constexpr std::size_t kDefaultLanes = 8;
 
-  /// Lane-block width of the AVX-512 fast path: 16 lanes fill two
-  /// independent 8-wide zmm dependency chains, which is what makes an
-  /// AVX-512 clone profitable where it is not at 8 lanes (one chain,
-  /// latency-bound). Used when preferred_lanes() selects it.
+  /// Slot width of the AVX-512 fast path: 16 lanes fill two independent
+  /// 8-wide zmm dependency chains, which is what makes an AVX-512 clone
+  /// profitable where it is not at 8 lanes (one chain, latency-bound).
   static constexpr std::size_t kAvx512Lanes = 16;
 
-  /// Lane width the batched drivers should default to on this machine:
-  /// kAvx512Lanes when the load-time dispatch has an AVX-512 clone to back
-  /// it (x86-64 GCC build on an avx512f CPU), else kDefaultLanes. Any width
-  /// produces bit-identical results (lane blocking only regroups
+  /// Most trials one run_until_switch call accepts.
+  static constexpr std::size_t kMaxTrials = 64;
+
+  /// Slot width of calls with more than kDefaultLanes trials on this
+  /// machine: kAvx512Lanes when the load-time dispatch has an AVX-512 clone
+  /// to back it (x86-64 GCC build on an avx512f CPU), else kDefaultLanes.
+  /// Any width produces bit-identical results (slots only regroup
   /// independent trials); this only picks the fastest one.
   static std::size_t preferred_lanes();
 
@@ -57,32 +68,31 @@ class BatchMacrospinSim {
 
   const LlgParams& params() const { return params_; }
 
-  /// Advances `lanes` independent stochastic trials in lockstep. Lane l
+  /// Integrates `n` (1..kMaxTrials) independent stochastic trials. Trial l
   /// starts at m0[l] (unit vectors), draws its thermal field from rngs[l],
-  /// and writes its result to out[l]. Results per lane are exactly
+  /// and writes its result to out[l]. Results per trial are exactly
   /// MacrospinSim::run_until_switch(m0[l], duration, dt, rngs[l], mz_stop,
   /// tilt) -- switched flag, crossing time, log_weight and m_end included.
-  /// The thermal history is prefetched from each lane's rng in blocks, so
+  /// The thermal history is prefetched from each trial's rng in blocks, so
   /// the kernel may consume *more* values from rngs[l] than the scalar path
   /// would (the values actually used are the same ones, in the same order);
-  /// callers must not draw further randomness from a lane's rng after the
+  /// callers must not draw further randomness from a trial's rng after the
   /// call and expect scalar-path agreement.
-  void run_until_switch(std::size_t lanes, const num::Vec3* m0,
-                        util::Rng* rngs, double duration, double dt,
-                        SwitchResult* out, double mz_stop = 0.0,
-                        const num::Vec3& tilt = {});
+  void run_until_switch(std::size_t n, const num::Vec3* m0, util::Rng* rngs,
+                        double duration, double dt, SwitchResult* out,
+                        double mz_stop = 0.0, const num::Vec3& tilt = {});
 
-  /// Per-lane-durations variant for the multilevel-splitting driver, whose
-  /// continuation trajectories carry different remaining windows. Lane l
-  /// integrates for durations[l] seconds (each > 0); every lane still runs
-  /// lockstep from step 0 on the shared clock (the step budget of lane l is
-  /// the number of iterations the scalar while-loop would execute for
-  /// durations[l], replayed with the scalar path's exact floating-point
-  /// time accumulation), and a lane whose budget is exhausted retires with
-  /// {switched=false, time=durations[l]}. A lane that crosses on its final
-  /// budgeted step reports switched, exactly like the scalar loop.
-  void run_until_switch(std::size_t lanes, const num::Vec3* m0,
-                        util::Rng* rngs, const double* durations, double dt,
+  /// Per-trial-durations variant for the multilevel-splitting driver,
+  /// whose continuation trajectories carry different remaining windows.
+  /// Trial l integrates for durations[l] seconds (each > 0): its step
+  /// budget is the number of iterations the scalar while-loop executes for
+  /// durations[l], with the scalar path's exact floating-point time
+  /// accumulation (replayed once per call, not once per trial), and a trial
+  /// whose budget runs out retires with {switched=false,
+  /// time=durations[l]}. A trial that crosses on its final budgeted step
+  /// reports switched, exactly like the scalar loop.
+  void run_until_switch(std::size_t n, const num::Vec3* m0, util::Rng* rngs,
+                        const double* durations, double dt,
                         SwitchResult* out, double mz_stop = 0.0,
                         const num::Vec3& tilt = {});
 
@@ -90,20 +100,11 @@ class BatchMacrospinSim {
   LlgParams params_;
   LlgRhs rhs_;  ///< precomputed gamma', a_j (shared across lanes)
 
-  // SoA workspace, indexed by *active* slot (compacted as lanes finish).
-  // Kept as members so one BatchMacrospinSim per chunk context amortizes
-  // the allocations over every lane-block of the chunk.
-  std::vector<double> mx_, my_, mz_;   ///< magnetization lanes
-  std::vector<double> h0x_, h0y_, h0z_;  ///< constant field row (sigma == 0)
-  std::vector<double> sign_;           ///< per-lane start_sign
-  std::vector<double> crossed_;        ///< per-lane crossing flag (0/1)
-  std::vector<double> logw_;           ///< per-lane accumulated log(dP/dQ)
-  std::vector<std::size_t> budget_;    ///< per-lane total step budget
-  std::vector<std::size_t> lane_of_;   ///< active slot -> caller lane
-  std::vector<double> scratch_;        ///< one lane's raw prefetch block
-  std::vector<double> durations_;      ///< broadcast buffer (uniform window)
-  std::vector<double> hxm_, hym_, hzm_;  ///< raw-noise matrices [step][slot]
-                                         ///< of the current prefetch block
+  /// Field rows of the current noise block, [3 * step + component][slot]:
+  /// raw normal_fill_lanes output turned in place into h_applied + sigma *
+  /// (z + tilt). A member so one BatchMacrospinSim per worker context
+  /// amortizes the allocation over all its calls.
+  std::vector<double> field_;
 };
 
 }  // namespace mram::dyn

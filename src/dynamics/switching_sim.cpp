@@ -104,16 +104,14 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
   const double mz0 = (initial_state(dir) == MtjState::kParallel) ? 1.0 : -1.0;
 
   // Each trial integrates thousands of stochastic LLG steps -- the heaviest
-  // trial body in the repo. The batched path advances a whole lane-block
-  // per worker in lockstep; folding lane results in lane order keeps the
-  // accumulation order identical to the scalar reference, so the two paths
-  // are bit-identical for the same (seed, trials) at any thread count --
-  // and at any lane width, which lets preferred_lanes() pick the widest
-  // kernel this CPU has a clone for. The stack buffers are sized for the
-  // engine maximum, not the chosen width.
-  const std::size_t lane_width = BatchMacrospinSim::preferred_lanes();
-  MRAM_EXPECTS(lane_width <= eng::MonteCarloRunner::kMaxLaneWidth,
-               "preferred lane width exceeds engine maximum");
+  // trial body in the repo. The batched path hands the kernel blocks of up
+  // to 64 trials, which it keeps in its SIMD slots by refilling finished
+  // ones; folding lane results in lane order keeps the accumulation order
+  // identical to the scalar reference, so the two paths are bit-identical
+  // for the same (seed, trials) at any thread count and lane width.
+  constexpr std::size_t lane_width = eng::MonteCarloRunner::kMaxLaneWidth;
+  static_assert(lane_width <= BatchMacrospinSim::kMaxTrials);
+  BatchMacrospinSim::preferred_lanes();  // report the slot width gauge
   // Report echo for the efficiency section: which documented flop constant
   // the llg.flops counter is accumulating under (serial context, once per
   // runner call -- never from inside a chunk).
@@ -125,17 +123,17 @@ SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
   const auto partial = runner.run_batched<SwitchPartial>(
       trials, seed, lane_width, [&] { return BatchMacrospinSim(llg); },
       [&](BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
-          std::size_t lanes, SwitchPartial& acc) {
-        Vec3 m0[eng::MonteCarloRunner::kMaxLaneWidth];
-        SwitchResult result[eng::MonteCarloRunner::kMaxLaneWidth];
+          std::size_t lanes, SwitchPartial* const* acc) {
+        Vec3 m0[lane_width];
+        SwitchResult result[lane_width];
         for (std::size_t l = 0; l < lanes; ++l) {
           m0[l] = thermal_initial_tilt(rngs[l], delta, mz0);
         }
         batch.run_until_switch(lanes, m0, rngs, duration, dt, result);
         for (std::size_t l = 0; l < lanes; ++l) {
           if (result[l].switched) {
-            ++acc.switched;
-            acc.times.add(result[l].time);
+            ++acc[l]->switched;
+            acc[l]->times.add(result[l].time);
           }
         }
       });

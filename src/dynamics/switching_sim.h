@@ -44,10 +44,10 @@ struct SwitchingStats {
 
 /// Monte Carlo switching-time statistics from repeated stochastic LLG runs
 /// starting near the initial state of `dir` (thermal initial tilt). Runs on
-/// the engine runner's batched path: each worker advances a lane-block of
-/// dyn::BatchMacrospinSim::kDefaultLanes trials in lockstep, bit-identical
-/// to the scalar reference below for the same (seed, trials) at any thread
-/// count. The overload taking a MonteCarloRunner reuses its thread pool
+/// the engine runner's batched path: each worker hands
+/// dyn::BatchMacrospinSim blocks of up to 64 trials, which it runs in its
+/// SIMD slots, bit-identical to the scalar reference below for the same
+/// (seed, trials) at any thread count. The overload taking a MonteCarloRunner reuses its thread pool
 /// across calls (sweeps should hoist one runner).
 SwitchingStats llg_switching_stats(const dev::MtjDevice& device,
                                    dev::SwitchDirection dir, double vp,

@@ -42,8 +42,8 @@
 // The accumulator type (`Partial`) must be default-constructible and provide
 //   void merge(const Partial&);
 // Workloads with per-trial setup cost (e.g. building an MramArray) supply a
-// context factory that runs once per chunk; the trial functor receives the
-// chunk-local context by reference.
+// context factory that runs once per chunk (once per worker task in
+// run_batched); the trial functor receives the context by reference.
 
 namespace mram::eng {
 
@@ -105,7 +105,7 @@ class MonteCarloRunner {
 
   /// Upper bound on run_batched's lane_width: lane blocks live in a
   /// fixed-size stack buffer of per-trial streams. 64 matches the widest
-  /// consumer (the read-disturb batch path caps itself at 64 lanes).
+  /// consumer (dyn::BatchMacrospinSim takes up to 64 trials per call).
   static constexpr std::size_t kMaxLaneWidth = 64;
 
   template <class Partial, class MakeContext, class TrialFn>
@@ -151,18 +151,26 @@ class MonteCarloRunner {
         });
   }
 
-  /// Batched variant of run(): each chunk is handed to `batch` in
-  /// lane-blocks of up to `lane_width` consecutive trials, so a SoA kernel
-  /// (e.g. dyn::BatchMacrospinSim) can advance the whole block in lockstep.
+  /// Batched variant of run(): the trials are handed to `batch` in lane
+  /// blocks of up to `lane_width` consecutive trials, so a SoA kernel (e.g.
+  /// dyn::BatchMacrospinSim) can advance a whole block together.
   /// BatchFn: (Ctx&, util::Rng* rngs, std::size_t first_trial,
-  ///           std::size_t lanes, Partial&) -> void, where rngs[l] is the
-  /// stream of trial first_trial + l.
+  ///           std::size_t n, Partial* const* acc) -> void, where rngs[l]
+  /// is the stream of trial first_trial + l and acc[l] the partial of the
+  /// chunk that owns that trial.
   ///
-  /// Chunking and merge order are shared with run() -- they depend only on
-  /// (trials, chunk_size), never on lane_width or the thread count -- and
-  /// the per-trial streams are identical, so a batch functor that folds its
-  /// lanes into the accumulator in lane order reproduces run() bit for bit
-  /// at any lane_width (remainder blocks and lane_width=1 included).
+  /// Chunks, per-trial streams and merge order are shared with run() --
+  /// they depend only on (trials, chunk_size), never on lane_width or the
+  /// thread count. A lane block may span chunks: a worker task is a run of
+  /// consecutive chunks (see batch_tasks), and its blocks cut across the
+  /// chunk boundaries inside it. A batch functor that folds lane l into
+  /// *acc[l] in lane order therefore feeds every chunk partial its trials
+  /// in trial order, and reproduces run() bit for bit at any lane width.
+  ///
+  /// make_context runs once per task, and which trials share a context
+  /// depends on the thread count. A context may therefore hold only
+  /// trial-invariant data: hoisted physics, or scratch that every trial
+  /// fully rewrites before reading it.
   template <class Partial, class MakeContext, class BatchFn>
   Partial run_batched(std::size_t trials, std::uint64_t seed,
                       std::size_t lane_width, MakeContext&& make_context,
@@ -177,39 +185,44 @@ class MonteCarloRunner {
         trials, chunk, n_chunks, seed,
         [&](std::size_t lo_chunk, std::size_t hi_chunk,
             std::vector<Partial>& partials) {
-          pool_.for_each(hi_chunk - lo_chunk, [&](std::size_t k) {
-            const std::size_t ci = lo_chunk + k;
-            obs::ChunkScope scope(chunk_block(k));
-            obs::TraceSpan span("engine", [ci] {
-              return "chunk " + std::to_string(ci);
+          const std::size_t m = hi_chunk - lo_chunk;
+          const std::size_t tasks = batch_tasks(m, chunk, lane_width);
+          pool_.for_each(tasks, [&](std::size_t k) {
+            // Task k owns chunks [c0, c1) of the fan-out: an even split.
+            const std::size_t c0 = lo_chunk + k * m / tasks;
+            const std::size_t c1 = lo_chunk + (k + 1) * m / tasks;
+            obs::ChunkScope scope(chunk_block(c0 - lo_chunk));
+            obs::TraceSpan span("engine", [c0, c1] {
+              return "chunks " + std::to_string(c0) + "-" +
+                     std::to_string(c1 - 1);
             });
             auto context = make_context();
-            Partial acc;
-            const std::size_t lo = ci * chunk;
-            const std::size_t hi = std::min(lo + chunk, trials);
-            // Lane streams live in a fixed stack buffer, assigned in place
-            // per block -- no per-block heap churn in the hot scheduling
-            // loop.
+            const std::size_t lo = c0 * chunk;
+            const std::size_t hi = std::min(c1 * chunk, trials);
+            // Lane streams and accumulator targets live in fixed stack
+            // buffers, assigned in place per block -- no per-block heap
+            // churn in the hot scheduling loop.
             util::Rng rngs[kMaxLaneWidth];
+            Partial* acc[kMaxLaneWidth];
             for (std::size_t base = lo; base < hi; base += lane_width) {
               const std::size_t lanes = std::min(lane_width, hi - base);
               for (std::size_t l = 0; l < lanes; ++l) {
                 rngs[l] = util::Rng::stream(seed, base + l);
+                acc[l] = &partials[(base + l) / chunk - lo_chunk];
               }
               batch(context, rngs, base, lanes, acc);
               obs::counter_add(obs::Counter::kEngineBatchBlocks);
               obs::counter_add(obs::Counter::kEngineBatchLanes, lanes);
             }
-            partials[k] = std::move(acc);
-            scope.finish(hi - lo);
+            scope.finish(hi - lo, c1 - c0);
             obs::progress_add_trials(hi - lo);
           });
         });
   }
 
   /// Context-free convenience overload of run_batched().
-  /// BatchFn: (util::Rng* rngs, std::size_t first_trial, std::size_t lanes,
-  ///           Partial&) -> void.
+  /// BatchFn: (util::Rng* rngs, std::size_t first_trial, std::size_t n,
+  ///           Partial* const* acc) -> void.
   template <class Partial, class BatchFn>
   Partial run_batched(std::size_t trials, std::uint64_t seed,
                       std::size_t lane_width, BatchFn&& batch) {
@@ -217,9 +230,24 @@ class MonteCarloRunner {
     return run_batched<Partial>(
         trials, seed, lane_width, [] { return NoContext{}; },
         [&batch](NoContext&, util::Rng* rngs, std::size_t first,
-                 std::size_t lanes, Partial& acc) {
-          batch(rngs, first, lanes, acc);
+                 std::size_t n, Partial* const* acc) {
+          batch(rngs, first, n, acc);
         });
+  }
+
+  /// Worker tasks of a run_batched fan-out over `m` chunks. Chunks are
+  /// grouped only while one chunk holds fewer trials than a lane block,
+  /// into groups that just fill a block, and never into fewer than
+  /// min(m, 2 * threads()) tasks, so small heavy batches still spread
+  /// over the pool. Scheduling only: results never depend on the grouping,
+  /// so it may depend on the thread count.
+  std::size_t batch_tasks(std::size_t m, std::size_t chunk,
+                          std::size_t lane_width) const {
+    if (chunk >= lane_width) return m;
+    const std::size_t per_task = (lane_width + chunk - 1) / chunk;
+    const std::size_t floor =
+        std::min<std::size_t>(m, 2 * static_cast<std::size_t>(threads()));
+    return std::max((m + per_task - 1) / per_task, floor);
   }
 
  private:

@@ -184,7 +184,8 @@ RareEventEstimate importance_rounds(MonteCarloRunner& runner,
 
 /// Batched-shape variant of importance_rounds for workloads whose trials
 /// run through a SoA kernel. BatchFn: (Ctx&, util::Rng* rngs,
-/// std::size_t first_trial, std::size_t lanes, util::WeightedStats&).
+/// std::size_t first_trial, std::size_t n, util::WeightedStats* const* acc),
+/// with MonteCarloRunner::run_batched's contract.
 template <class MakeContext, class BatchFn>
 RareEventEstimate importance_rounds_batched(MonteCarloRunner& runner,
                                             std::size_t batch,

@@ -201,9 +201,11 @@ RetentionEnsembleResult measure_retention_faults(
 
   // Every trial holds the same pattern, so the per-cell flip probabilities
   // are trial-invariant: the batched path evaluates the exp-heavy table
-  // once per chunk and each lane only pays the bernoulli draws (the same
-  // draws in the same order as retention_hold -- results are bit-identical
-  // to the scalar reference, batch_lanes == 0).
+  // once per worker task and each lane only pays the bernoulli draws (the
+  // same draws in the same order as retention_hold -- results are
+  // bit-identical to the scalar reference, batch_lanes == 0). The context's
+  // array is scratch that every trial reloads before use, so the context
+  // holds nothing trial-dependent.
   struct Ctx {
     MramArray array;
     std::vector<double> p_flip;
@@ -220,12 +222,12 @@ RetentionEnsembleResult measure_retention_faults(
                   return ctx;
                 },
                 [&](Ctx& ctx, util::Rng* rngs, std::size_t,
-                    std::size_t lanes, Partial& acc) {
+                    std::size_t lanes, Partial* const* acc) {
                   for (std::size_t l = 0; l < lanes; ++l) {
                     ctx.array.load(pattern);
                     record(ctx.array.apply_retention_flips(ctx.p_flip,
                                                            rngs[l]),
-                           acc);
+                           *acc[l]);
                   }
                 })
           : runner.run<Partial>(

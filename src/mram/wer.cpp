@@ -128,10 +128,10 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
               return runner.run_batched<WerPartial>(
                   config.trials, seed, config.batch_lanes,
                   [&](util::Rng* rngs, std::size_t, std::size_t lanes,
-                      WerPartial& acc) {
+                      WerPartial* const* acc) {
                     for (std::size_t l = 0; l < lanes; ++l) {
-                      acc.psucc.add(p);
-                      if (!rngs[l].bernoulli(p)) ++acc.errors;
+                      acc[l]->psucc.add(p);
+                      if (!rngs[l].bernoulli(p)) ++acc[l]->errors;
                     }
                   });
             }()

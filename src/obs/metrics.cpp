@@ -25,7 +25,6 @@ const char* counter_name(Counter c) {
     case Counter::kLlgLanesEarlyExit: return "llg.lanes_early_exit";
     case Counter::kLlgBlocksW8: return "llg.blocks_w8";
     case Counter::kLlgBlocksW16: return "llg.blocks_w16";
-    case Counter::kLlgBlocksGeneric: return "llg.blocks_generic";
     case Counter::kLlgFlops: return "llg.flops";
     case Counter::kRareIsRounds: return "rare.is.rounds";
     case Counter::kRareSplitLevels: return "rare.split.levels";
@@ -85,7 +84,6 @@ const char* kernel_tag_name(KernelTag t) {
     case KernelTag::kUntagged: return "untagged";
     case KernelTag::kLlgW8: return "llg_w8";
     case KernelTag::kLlgW16: return "llg_w16";
-    case KernelTag::kLlgGeneric: return "llg_generic";
     case KernelTag::kLlgScalar: return "llg_scalar";
     case KernelTag::kReadout: return "readout";
     case KernelTag::kRare: return "rare";

@@ -57,12 +57,11 @@ enum class Counter : std::uint16_t {
   kEngineWallNanos,      ///< summed runner-call wall time (caller view)
   kLlgNoiseBlocks,       ///< batched-LLG kernel invocations (noise blocks)
   kLlgLaneSteps,         ///< Heun lane-steps executed (active lanes)
-  kLlgLaneStepCapacity,  ///< lane-steps at entry width (occupancy denom.)
+  kLlgLaneStepCapacity,  ///< slots x steps of kernel calls (occupancy denom.)
   kLlgLanesEntered,      ///< lanes entering run_until_switch
   kLlgLanesEarlyExit,    ///< lanes retired by mz crossing before their window
-  kLlgBlocksW8,          ///< kernel calls through the fixed 8-lane body
-  kLlgBlocksW16,         ///< kernel calls through the fixed 16-lane body
-  kLlgBlocksGeneric,     ///< kernel calls through the variable-width body
+  kLlgBlocksW8,          ///< kernel calls at 8 slots (step_lanes<8>)
+  kLlgBlocksW16,         ///< kernel calls at 16 slots (step_lanes<16>)
   kLlgFlops,             ///< est. flops executed (lane-steps x flops/step)
   kRareIsRounds,         ///< importance-sampling rounds run
   kRareSplitLevels,      ///< subset-simulation levels resolved
@@ -94,7 +93,7 @@ enum class Gauge : std::uint16_t {
 /// unless noted). Buckets are powers of two, so merge is a bucket-wise
 /// integer add -- exact in any order.
 enum class Hist : std::uint16_t {
-  kEngineChunkNanos,   ///< per-chunk wall time
+  kEngineChunkNanos,   ///< per-chunk wall time (per task in run_batched)
   kEngineCallNanos,    ///< per-runner-call wall time
   kSweepPointNanos,    ///< per-sweep-point wall time
   kShardDumpNanos,     ///< per-call shard dump latency
@@ -148,9 +147,8 @@ struct PerfSample {
 /// kMixed stays empty.
 enum class KernelTag : std::uint8_t {
   kUntagged,    ///< no trial body stamped a tag
-  kLlgW8,       ///< batched LLG through the fixed 8-lane body
-  kLlgW16,      ///< batched LLG through the fixed 16-lane (AVX-512) body
-  kLlgGeneric,  ///< batched LLG through the variable-width body
+  kLlgW8,       ///< batched LLG through step_lanes<8>
+  kLlgW16,      ///< batched LLG through step_lanes<16> (AVX-512 clone)
   kLlgScalar,   ///< scalar reference LLG path
   kReadout,     ///< read-path sampling (sense + disturb)
   kRare,        ///< rare-event MCMC resampling
@@ -413,12 +411,13 @@ class ChunkScope {
   }
 
   /// Records the chunk's own metrics. Call once, at the end of the chunk
-  /// body (the destructor only restores the thread-local).
-  void finish(std::uint64_t trials) {
+  /// body (the destructor only restores the thread-local). A run_batched
+  /// task that spans several chunks reports them all through one scope.
+  void finish(std::uint64_t trials, std::uint64_t chunks = 1) {
     if (!block_) return;
     if (block_->perf_begin.valid) perf_thread_sample(block_->perf_end);
     block_->chunk_nanos = sw_.nanos();
-    block_->add(Counter::kEngineChunks, 1);
+    block_->add(Counter::kEngineChunks, chunks);
     block_->add(Counter::kEngineTrials, trials);
   }
 

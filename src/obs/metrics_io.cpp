@@ -181,10 +181,6 @@ std::map<std::string, double> derived_metrics(const Snapshot& s) {
     const auto it = s.counters.find(name);
     return it == s.counters.end() ? 0.0 : static_cast<double>(it->second);
   };
-  const auto gauge = [&](const char* name) -> double {
-    const auto it = s.gauges.find(name);
-    return it == s.gauges.end() ? 0.0 : it->second;
-  };
 
   std::map<std::string, double> d;
   const double trials = counter("engine.trials");
@@ -196,6 +192,12 @@ std::map<std::string, double> derived_metrics(const Snapshot& s) {
   if (trials > 0.0 && busy_ns > 0.0) {
     d["engine.ns_per_trial"] = busy_ns / trials;
     d["engine.trials_per_sec"] = 1e9 * trials / busy_ns;
+  }
+  // The same rate on the caller's clock: busy time sums over workers, so
+  // at N threads trials_per_sec reads up to N times below this one.
+  const double wall_ns = counter("engine.wall_ns");
+  if (trials > 0.0 && wall_ns > 0.0) {
+    d["engine.trials_per_wall_sec"] = 1e9 * trials / wall_ns;
   }
 
   const double cycles = counter("perf.cycles");
@@ -232,7 +234,7 @@ std::map<std::string, double> derived_metrics(const Snapshot& s) {
   const double flops = counter("llg.flops");
   const double llg_cycles =
       counter("perf.llg_w8.cycles") + counter("perf.llg_w16.cycles") +
-      counter("perf.llg_generic.cycles") + counter("perf.llg_scalar.cycles");
+      counter("perf.llg_scalar.cycles");
   if (flops > 0.0 && llg_cycles > 0.0) {
     d["llg.est_flops_per_cycle"] = flops / llg_cycles;
   }

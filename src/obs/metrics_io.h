@@ -90,7 +90,8 @@ void fold_snapshot(Snapshot& into, const Snapshot& from);
 /// using the documented per-step flop count -- estimated flops/cycle. The
 /// software fallback rows (engine.ns_per_trial, engine.trials_per_sec, from
 /// steady-clock busy time and retired trials) are present whenever the
-/// engine ran, hardware or not.
+/// engine ran, hardware or not; engine.trials_per_wall_sec divides the
+/// trials by the callers' wall time (engine.wall_ns) instead.
 std::map<std::string, double> derived_metrics(const Snapshot& s);
 
 /// Writes `doc` to `path` (error-checked; throws util::ConfigError).

@@ -139,12 +139,12 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
           ? runner.run_batched<RerPartial>(
                 config.trials, seed, config.batch_lanes,
                 [&](util::Rng* rngs, std::size_t, std::size_t lanes,
-                    RerPartial& acc) {
+                    RerPartial* const* acc) {
                   for (std::size_t l = 0; l < lanes; ++l) {
                     fold_read(model.sample_read(op, config.stored,
                                                 config.hz_stray,
                                                 config.temperature, rngs[l]),
-                              acc);
+                              *acc[l]);
                   }
                 })
           : runner.run<RerPartial>(
@@ -178,7 +178,8 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
 
 namespace {
 
-constexpr std::size_t kMaxLanes = 64;
+constexpr std::size_t kMaxLanes = dyn::BatchMacrospinSim::kMaxTrials;
+static_assert(kMaxLanes == eng::MonteCarloRunner::kMaxLaneWidth);
 
 struct DisturbPartial {
   std::size_t disturbed = 0;
@@ -277,7 +278,7 @@ eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
           N, stage_seed, config.batch_lanes,
           [&] { return dyn::BatchMacrospinSim(llg); },
           [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
-              std::size_t lanes, StagePartial& acc) {
+              std::size_t lanes, StagePartial* const* acc) {
             num::Vec3 m0[kMaxLanes];
             double left[kMaxLanes];
             double base_t[kMaxLanes];
@@ -316,7 +317,7 @@ eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
               }
             }
             for (std::size_t l = 0; l < lanes; ++l) {
-              acc.results.push_back(res[l]);
+              acc[l]->results.push_back(res[l]);
             }
           });
     } else {
@@ -452,7 +453,7 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
                     config.rare, [&] { return dyn::BatchMacrospinSim(llg); },
                     [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs,
                         std::size_t, std::size_t lanes,
-                        util::WeightedStats& ws) {
+                        util::WeightedStats* const* ws) {
                       num::Vec3 m0[kMaxLanes];
                       dyn::SwitchResult result[kMaxLanes];
                       for (std::size_t l = 0; l < lanes; ++l) {
@@ -462,7 +463,7 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
                       batch.run_until_switch(lanes, m0, rngs, duration,
                                              config.dt, result, 0.0, tilt);
                       for (std::size_t l = 0; l < lanes; ++l) {
-                        fold(result[l], ws);
+                        fold(result[l], *ws[l]);
                       }
                     })
               : eng::importance_rounds(
@@ -505,7 +506,8 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
                 config.trials, seed, config.batch_lanes,
                 [&] { return dyn::BatchMacrospinSim(llg); },
                 [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs,
-                    std::size_t, std::size_t lanes, DisturbPartial& acc) {
+                    std::size_t, std::size_t lanes,
+                    DisturbPartial* const* acc) {
                   num::Vec3 m0[kMaxLanes];
                   dyn::SwitchResult result[kMaxLanes];
                   for (std::size_t l = 0; l < lanes; ++l) {
@@ -515,8 +517,8 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
                                          result);
                   for (std::size_t l = 0; l < lanes; ++l) {
                     if (result[l].switched) {
-                      ++acc.disturbed;
-                      acc.times.add(result[l].time);
+                      ++acc[l]->disturbed;
+                      acc[l]->times.add(result[l].time);
                     }
                   }
                 })
@@ -626,9 +628,9 @@ ReadYieldResult read_yield(const ReadYieldConfig& config, util::Rng& rng,
           ? runner.run_batched<YieldPartial>(
                 config.samples, seed, config.batch_lanes,
                 [&](util::Rng* rngs, std::size_t, std::size_t lanes,
-                    YieldPartial& acc) {
+                    YieldPartial* const* acc) {
                   for (std::size_t l = 0; l < lanes; ++l) {
-                    sample_one(rngs[l], acc);
+                    sample_one(rngs[l], *acc[l]);
                   }
                 })
           : runner.run<YieldPartial>(

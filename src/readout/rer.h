@@ -89,9 +89,11 @@ struct ReadDisturbConfig {
   double dt = 1e-12;      ///< LLG step [s]
   std::size_t trials = 256;
   eng::RunnerConfig runner;
-  std::size_t batch_lanes = dyn::BatchMacrospinSim::preferred_lanes();
-                          ///< widest lane-block this CPU has a SIMD clone
-                          ///< for; 0 = scalar MacrospinSim reference path
+  std::size_t batch_lanes = eng::MonteCarloRunner::kMaxLaneWidth;
+                          ///< trials per BatchMacrospinSim call (at most
+                          ///< 64; the kernel keeps its SIMD slots full by
+                          ///< refilling them); 0 = scalar MacrospinSim
+                          ///< reference path
   /// Rare-event driver selection on the stochastic-LLG trajectories.
   /// Importance sampling applies a constant mean shift to the thermal
   /// field along the switching direction (exact pathwise likelihood

@@ -1,9 +1,17 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
 #include "util/error.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define MRAM_ZIG_X86 1
+#else
+#define MRAM_ZIG_X86 0
+#endif
 
 namespace mram::util {
 
@@ -327,16 +335,264 @@ void Rng::normal_fill_tilted(double* out, std::size_t n, const double* tilt,
   }
 }
 
-void Rng::normal_fill_pair_tilted(Rng& a, Rng& b, double* out_a, double* out_b,
-                                  std::size_t n, const double* tilt,
-                                  std::size_t period) {
-  MRAM_EXPECTS(period > 0, "normal_fill_pair_tilted requires period > 0");
-  normal_fill_pair(a, b, out_a, out_b, n);
-  std::size_t c = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    out_a[k] += tilt[c];
-    out_b[k] += tilt[c];
-    if (++c == period) c = 0;
+// --- lane-parallel ziggurat (normal_fill_lanes) ------------------------------
+
+namespace {
+
+/// Lanes of one normal_fill_lanes group: two 8 x u64 AVX-512 register sets.
+constexpr std::size_t kZigGroupLanes = 16;
+
+/// Transposed engine states of one lane group, and the draws whose strip
+/// test rejected, waiting for zig_fallback. Lanes past the group's width
+/// stay zero: an all-zero xoshiro state stays zero, and those lanes are
+/// masked out of every store.
+struct ZigLanes {
+  alignas(64) std::uint64_t s[4][kZigGroupLanes];
+  alignas(64) std::uint64_t pend[kZigGroupLanes];
+};
+
+/// Vector fast path of one ISA. All lanes share the row cursor: from row
+/// `row` on, every row draws one value per lane in `valid` and stores the
+/// accepted ones at out[row * ld + l]. It stops after the first row in
+/// which some lane rejected (those lanes go to `rejected`, their draws to
+/// pend[]) or at row n, and returns the row it stopped at.
+using ZigRowsFn = std::size_t (*)(ZigLanes& z, std::uint32_t valid,
+                                  std::size_t row, std::size_t n, double* out,
+                                  std::size_t ld, std::uint32_t& rejected);
+
+enum class ZigIsa { kScalar, kAvx2, kAvx512 };
+
+#if MRAM_ZIG_X86
+
+// Both kernels replay Rng::next() and the zig_draw fast path operation for
+// operation: integer ops are exact, the 53-bit magnitude converts to
+// double exactly, and au * x_i is the same single IEEE multiply.
+
+// GCC 12 flags the _mm512_undefined_* placeholders inside its own
+// AVX-512 intrinsic headers as maybe-uninitialized once they inline here.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
+template <int G>
+__attribute__((target("avx512f,avx512dq"))) std::size_t zig_rows_avx512(
+    ZigLanes& z, std::uint32_t valid, std::size_t row, std::size_t n,
+    double* out, std::size_t ld, std::uint32_t& rejected) {
+  __m512i s0[G], s1[G], s2[G], s3[G];
+  __mmask8 k[G];
+  for (int g = 0; g < G; ++g) {
+    s0[g] = _mm512_load_si512(z.s[0] + 8 * g);
+    s1[g] = _mm512_load_si512(z.s[1] + 8 * g);
+    s2[g] = _mm512_load_si512(z.s[2] + 8 * g);
+    s3[g] = _mm512_load_si512(z.s[3] + 8 * g);
+    k[g] = static_cast<__mmask8>(valid >> (8 * g));
+  }
+  const __m512i strip = _mm512_set1_epi64(0x7F);
+  const __m512i sign = _mm512_set1_epi64(0x80);
+  const __m512d scale = _mm512_set1_pd(0x1.0p-53);
+  std::uint32_t rej_all = 0;
+  for (; row < n; ++row) {
+    double* o = out + row * ld;
+    for (int g = 0; g < G; ++g) {
+      const __m512i r = _mm512_add_epi64(
+          _mm512_rol_epi64(_mm512_add_epi64(s0[g], s3[g]), 23), s0[g]);
+      const __m512i t = _mm512_slli_epi64(s1[g], 17);
+      const __m512i n2 = _mm512_xor_si512(s2[g], s0[g]);
+      const __m512i n3 = _mm512_xor_si512(s3[g], s1[g]);
+      s1[g] = _mm512_xor_si512(s1[g], n2);
+      s0[g] = _mm512_xor_si512(s0[g], n3);
+      s2[g] = _mm512_xor_si512(n2, t);
+      s3[g] = _mm512_rol_epi64(n3, 45);
+
+      const __m512i idx = _mm512_and_si512(r, strip);
+      const __m512d au = _mm512_mul_pd(
+          _mm512_cvtepu64_pd(_mm512_srli_epi64(r, 11)), scale);
+      const __m512d x =
+          _mm512_mul_pd(au, _mm512_i64gather_pd(idx, kZigX, 8));
+      const __m512d edge = _mm512_i64gather_pd(idx, kZigX + 1, 8);
+      const __mmask8 acc = _mm512_mask_cmp_pd_mask(k[g], x, edge, _CMP_LT_OQ);
+      const __m512d v = _mm512_castsi512_pd(_mm512_or_si512(
+          _mm512_castpd_si512(x),
+          _mm512_slli_epi64(_mm512_and_si512(r, sign), 56)));
+      _mm512_mask_storeu_pd(o + 8 * g, acc, v);
+      const __mmask8 rej = static_cast<__mmask8>(k[g] & ~acc);
+      if (rej != 0) {
+        _mm512_mask_storeu_epi64(z.pend + 8 * g, rej, r);
+        rej_all |= static_cast<std::uint32_t>(rej) << (8 * g);
+      }
+    }
+    if (rej_all != 0) break;
+  }
+  for (int g = 0; g < G; ++g) {
+    _mm512_store_si512(z.s[0] + 8 * g, s0[g]);
+    _mm512_store_si512(z.s[1] + 8 * g, s1[g]);
+    _mm512_store_si512(z.s[2] + 8 * g, s2[g]);
+    _mm512_store_si512(z.s[3] + 8 * g, s3[g]);
+  }
+  rejected = rej_all;
+  return row;
+}
+
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+__attribute__((target("avx2"))) inline __m256i rotl_avx2(__m256i v, int k) {
+  return _mm256_or_si256(_mm256_slli_epi64(v, k),
+                         _mm256_srli_epi64(v, 64 - k));
+}
+
+template <int G>
+__attribute__((target("avx2"))) std::size_t zig_rows_avx2(
+    ZigLanes& z, std::uint32_t valid, std::size_t row, std::size_t n,
+    double* out, std::size_t ld, std::uint32_t& rejected) {
+  __m256i s0[G], s1[G], s2[G], s3[G], k[G];
+  const __m256i lane_bit = _mm256_set_epi64x(8, 4, 2, 1);
+  for (int g = 0; g < G; ++g) {
+    s0[g] = _mm256_load_si256(reinterpret_cast<const __m256i*>(z.s[0] + 4 * g));
+    s1[g] = _mm256_load_si256(reinterpret_cast<const __m256i*>(z.s[1] + 4 * g));
+    s2[g] = _mm256_load_si256(reinterpret_cast<const __m256i*>(z.s[2] + 4 * g));
+    s3[g] = _mm256_load_si256(reinterpret_cast<const __m256i*>(z.s[3] + 4 * g));
+    const __m256i bits = _mm256_set1_epi64x((valid >> (4 * g)) & 0xF);
+    k[g] = _mm256_cmpeq_epi64(_mm256_and_si256(bits, lane_bit), lane_bit);
+  }
+  const __m256i strip = _mm256_set1_epi64x(0x7F);
+  const __m256i sign = _mm256_set1_epi64x(0x80);
+  const __m256i low32 = _mm256_set1_epi64x(0xFFFFFFFF);
+  // Exact u64 -> double for the 53-bit magnitude: each 32-bit half is
+  // OR-ed into the mantissa of 2^52 and the bias subtracted, and
+  // hi * 2^32 + lo is exactly representable, so the sum rounds exactly.
+  const __m256i magic = _mm256_set1_epi64x(0x4330000000000000LL);
+  const __m256d two52 = _mm256_set1_pd(0x1.0p52);
+  const __m256d two32 = _mm256_set1_pd(0x1.0p32);
+  const __m256d scale = _mm256_set1_pd(0x1.0p-53);
+  std::uint32_t rej_all = 0;
+  for (; row < n; ++row) {
+    double* o = out + row * ld;
+    for (int g = 0; g < G; ++g) {
+      const __m256i r = _mm256_add_epi64(
+          rotl_avx2(_mm256_add_epi64(s0[g], s3[g]), 23), s0[g]);
+      const __m256i t = _mm256_slli_epi64(s1[g], 17);
+      const __m256i n2 = _mm256_xor_si256(s2[g], s0[g]);
+      const __m256i n3 = _mm256_xor_si256(s3[g], s1[g]);
+      s1[g] = _mm256_xor_si256(s1[g], n2);
+      s0[g] = _mm256_xor_si256(s0[g], n3);
+      s2[g] = _mm256_xor_si256(n2, t);
+      s3[g] = rotl_avx2(n3, 45);
+
+      const __m256i idx = _mm256_and_si256(r, strip);
+      const __m256i mag = _mm256_srli_epi64(r, 11);
+      const __m256d lo = _mm256_sub_pd(
+          _mm256_castsi256_pd(
+              _mm256_or_si256(_mm256_and_si256(mag, low32), magic)),
+          two52);
+      const __m256d hi = _mm256_sub_pd(
+          _mm256_castsi256_pd(
+              _mm256_or_si256(_mm256_srli_epi64(mag, 32), magic)),
+          two52);
+      const __m256d au =
+          _mm256_mul_pd(_mm256_add_pd(_mm256_mul_pd(hi, two32), lo), scale);
+      const __m256d x =
+          _mm256_mul_pd(au, _mm256_i64gather_pd(kZigX, idx, 8));
+      const __m256d edge = _mm256_i64gather_pd(kZigX + 1, idx, 8);
+      const __m256i acc = _mm256_and_si256(
+          _mm256_castpd_si256(_mm256_cmp_pd(x, edge, _CMP_LT_OQ)), k[g]);
+      const __m256i v = _mm256_or_si256(
+          _mm256_castpd_si256(x),
+          _mm256_slli_epi64(_mm256_and_si256(r, sign), 56));
+      _mm256_maskstore_pd(o + 4 * g, acc, _mm256_castsi256_pd(v));
+      const __m256i rej = _mm256_andnot_si256(acc, k[g]);
+      const int rbits = _mm256_movemask_pd(_mm256_castsi256_pd(rej));
+      if (rbits != 0) {
+        _mm256_maskstore_epi64(
+            reinterpret_cast<long long*>(z.pend + 4 * g), rej, r);
+        rej_all |= static_cast<std::uint32_t>(rbits) << (4 * g);
+      }
+    }
+    if (rej_all != 0) break;
+  }
+  for (int g = 0; g < G; ++g) {
+    _mm256_store_si256(reinterpret_cast<__m256i*>(z.s[0] + 4 * g), s0[g]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(z.s[1] + 4 * g), s1[g]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(z.s[2] + 4 * g), s2[g]);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(z.s[3] + 4 * g), s3[g]);
+  }
+  rejected = rej_all;
+  return row;
+}
+
+ZigIsa zig_isa() {
+  static const ZigIsa isa = [] {
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512dq")) {
+      return ZigIsa::kAvx512;
+    }
+    return __builtin_cpu_supports("avx2") ? ZigIsa::kAvx2 : ZigIsa::kScalar;
+  }();
+  return isa;
+}
+
+ZigRowsFn zig_rows_fn(ZigIsa isa, std::size_t lanes) {
+  if (isa == ZigIsa::kAvx512) {
+    return lanes <= 8 ? zig_rows_avx512<1> : zig_rows_avx512<2>;
+  }
+  if (lanes <= 4) return zig_rows_avx2<1>;
+  return lanes <= 8 ? zig_rows_avx2<2> : zig_rows_avx2<4>;
+}
+
+#else
+
+ZigIsa zig_isa() { return ZigIsa::kScalar; }
+ZigRowsFn zig_rows_fn(ZigIsa, std::size_t) { return nullptr; }
+
+#endif
+
+}  // namespace
+
+void Rng::normal_fill_lanes(Rng* rngs, std::size_t lanes, double* out,
+                            std::size_t ld, std::size_t n) {
+  if (lanes == 0 || n == 0) return;
+  MRAM_EXPECTS(n == 1 || ld >= lanes,
+               "normal_fill_lanes needs a row stride of at least `lanes`");
+  const ZigIsa isa = zig_isa();
+  if (isa == ZigIsa::kScalar || lanes == 1) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      for (std::size_t k = 0; k < n; ++k) out[k * ld + l] = rngs[l].zig_draw();
+    }
+    return;
+  }
+  for (std::size_t base = 0; base < lanes; base += kZigGroupLanes) {
+    const std::size_t m = std::min(kZigGroupLanes, lanes - base);
+    Rng* group = rngs + base;
+    double* o = out + base;
+    ZigLanes z{};
+    for (std::size_t l = 0; l < m; ++l) {
+      for (int w = 0; w < 4; ++w) z.s[w][l] = group[l].state_[w];
+    }
+    const ZigRowsFn rows = zig_rows_fn(isa, m);
+    const std::uint32_t valid = (1u << m) - 1u;
+    std::size_t row = 0;
+    while (true) {
+      std::uint32_t rejected = 0;
+      row = rows(z, valid, row, n, o, ld, rejected);
+      if (rejected == 0) break;
+      // The rejecting lanes finish this row's draw on the scalar engine
+      // (wedge, tail and retry draws come from the same stream), so every
+      // lane leaves the row with the same cursor.
+      for (; rejected != 0; rejected &= rejected - 1) {
+        const int l = std::countr_zero(rejected);
+        Rng e = group[l];
+        for (int w = 0; w < 4; ++w) e.state_[w] = z.s[w][l];
+        o[row * ld + l] = e.zig_fallback(z.pend[l]);
+        for (int w = 0; w < 4; ++w) z.s[w][l] = e.state_[w];
+      }
+      ++row;
+    }
+    for (std::size_t l = 0; l < m; ++l) {
+      for (int w = 0; w < 4; ++w) group[l].state_[w] = z.s[w][l];
+    }
   }
 }
 

@@ -225,7 +225,7 @@ void expect_batch_matches_scalar(const LlgParams& p, std::size_t lanes,
 
 TEST(BatchLlg, BitIdenticalToScalarThermalDriven) {
   // Thermal field + overcritical STT: a window long enough that most lanes
-  // switch (exercising compaction) but short enough that some do not.
+  // switch (emptying slots early) but short enough that some do not.
   expect_batch_matches_scalar(thermal_driven_params(), 8, 8e-9, 2e-13, 42);
 }
 
@@ -245,8 +245,81 @@ TEST(BatchLlg, BitIdenticalAtSixteenLanes) {
   const auto p = thermal_driven_params();
   expect_batch_matches_scalar(p, BatchMacrospinSim::kAvx512Lanes, 8e-9, 2e-13,
                               42);
-  // 17 lanes: one full 16-block plus a 1-lane remainder in the same call.
+  // 17 trials: one more than the slots, so a slot is refilled.
   expect_batch_matches_scalar(p, 17, 3e-9, 2e-13, 77);
+}
+
+/// One BatchMacrospinSim call over n trials against n scalar runs on the
+/// same streams. With per-trial windows the budgets differ, so slots
+/// retire at different steps and are refilled mid noise block; a stop
+/// plane and a tilt exercise the crossing test and the log weights.
+/// Returns how many trials switched.
+std::size_t expect_refill_matches_scalar(const LlgParams& p, std::size_t n,
+                                         bool per_trial_windows,
+                                         double mz_stop, const Vec3& tilt,
+                                         std::uint64_t seed) {
+  constexpr double kDt = 2e-13;
+  constexpr double kWindow = 2e-9;
+  const MacrospinSim scalar(p);
+  BatchMacrospinSim batch(p);
+  std::vector<Vec3> m0(n);
+  std::vector<double> windows(n, kWindow);
+  util::Rng setup(seed);
+  for (std::size_t l = 0; l < n; ++l) {
+    m0[l] = num::normalized({0.08 * setup.uniform(-1.0, 1.0),
+                             0.08 * setup.uniform(-1.0, 1.0), -1.0});
+    if (per_trial_windows) windows[l] = 0.3e-9 + 0.41e-9 * (l % 9);
+  }
+  std::vector<SwitchResult> expected(n);
+  std::vector<util::Rng> rngs;
+  for (std::size_t l = 0; l < n; ++l) {
+    util::Rng rng = util::Rng::stream(seed, l);
+    expected[l] =
+        scalar.run_until_switch(m0[l], windows[l], kDt, rng, mz_stop, tilt);
+    rngs.push_back(util::Rng::stream(seed, l));
+  }
+  std::vector<SwitchResult> got(n);
+  if (per_trial_windows) {
+    batch.run_until_switch(n, m0.data(), rngs.data(), windows.data(), kDt,
+                           got.data(), mz_stop, tilt);
+  } else {
+    batch.run_until_switch(n, m0.data(), rngs.data(), kWindow, kDt,
+                           got.data(), mz_stop, tilt);
+  }
+  std::size_t switched = 0;
+  for (std::size_t l = 0; l < n; ++l) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " trial " << l);
+    EXPECT_EQ(got[l].switched, expected[l].switched);
+    EXPECT_EQ(got[l].time, expected[l].time);  // bitwise
+    EXPECT_EQ(got[l].log_weight, expected[l].log_weight);
+    EXPECT_EQ(got[l].m_end.x, expected[l].m_end.x);
+    EXPECT_EQ(got[l].m_end.y, expected[l].m_end.y);
+    EXPECT_EQ(got[l].m_end.z, expected[l].m_end.z);
+    switched += expected[l].switched;
+  }
+  return switched;
+}
+
+TEST(BatchLlg, RefilledSlotsMatchScalarAtEveryCallSize) {
+  // Call sizes below, at and above the slot width (8, or 16 on AVX-512
+  // hosts), up to the 64-trial maximum: refills, empty slots at the end of
+  // a call and the drain to 8 slots all run.
+  const auto warm = thermal_driven_params();
+  auto cold = warm;
+  cold.temperature = 0.0;
+  const Vec3 tilt{0.0, 0.0, 0.7};
+  std::size_t switched = 0;
+  std::size_t total = 0;
+  for (std::size_t n : {1u, 3u, 8u, 16u, 17u, 40u, 64u}) {
+    switched += expect_refill_matches_scalar(warm, n, false, 0.0, {}, 10 + n);
+    switched += expect_refill_matches_scalar(warm, n, true, 0.0, {}, 20 + n);
+    switched += expect_refill_matches_scalar(warm, n, true, -0.5, tilt, 30 + n);
+    switched += expect_refill_matches_scalar(cold, n, true, -0.5, {}, 40 + n);
+    total += 4 * n;
+  }
+  // Both retirement kinds occurred: crossings and exhausted windows.
+  EXPECT_GT(switched, 0u);
+  EXPECT_LT(switched, total);
 }
 
 TEST(BatchLlg, PreferredLanesIsASupportedWidth) {

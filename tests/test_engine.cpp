@@ -480,11 +480,11 @@ CountPartial run_counting_batched(unsigned threads, std::size_t chunk,
   return runner.run_batched<CountPartial>(
       999, 1234, lane_width,
       [](util::Rng* rngs, std::size_t, std::size_t lanes,
-         CountPartial& acc) {
+         CountPartial* const* acc) {
         for (std::size_t l = 0; l < lanes; ++l) {
           const double u = rngs[l].uniform();
-          acc.hits += (u < 0.25);
-          acc.values.add(u);
+          acc[l]->hits += (u < 0.25);
+          acc[l]->values.add(u);
         }
       });
 }
@@ -516,7 +516,7 @@ TEST(MonteCarloRunner, BatchedRejectsZeroLaneWidth) {
   EXPECT_THROW(
       runner.run_batched<Sum>(
           10, 1, 0,
-          [](util::Rng*, std::size_t, std::size_t, Sum&) {}),
+          [](util::Rng*, std::size_t, std::size_t, Sum* const*) {}),
       util::ContractViolation);
 }
 
@@ -857,11 +857,11 @@ TEST(ShardedRunner, BatchedPathShardsIdentically) {
     return runner.run_batched<CountPartial>(
         999, 1234, 16,
         [](util::Rng* rngs, std::size_t, std::size_t lanes,
-           CountPartial& acc) {
+           CountPartial* const* acc) {
           for (std::size_t l = 0; l < lanes; ++l) {
             const double u = rngs[l].uniform();
-            acc.hits += (u < 0.25);
-            acc.values.add(u);
+            acc[l]->hits += (u < 0.25);
+            acc[l]->values.add(u);
           }
         });
   };
@@ -877,6 +877,167 @@ TEST(ShardedRunner, BatchedPathShardsIdentically) {
   merge.merge_count = 3;
   merge.dir = dir;
   expect_bit_identical(batched_io(merge), reference);
+}
+
+// --- run_batched: lane blocks that span chunks ------------------------------
+
+/// Order-sensitive accumulator: Welford stats (whose merge is not
+/// associative) plus every trial index in fold order, so a trial folded
+/// into the wrong chunk partial, or out of order, changes the result.
+struct OrderPartial {
+  util::RunningStats values;
+  std::vector<std::uint64_t> trials;
+
+  void merge(const OrderPartial& o) {
+    values.merge(o.values);
+    trials.insert(trials.end(), o.trials.begin(), o.trials.end());
+  }
+  template <class Ar>
+  void serialize(Ar& ar) {
+    ar(values);
+    ar(trials);
+  }
+};
+
+void fold_uniform(util::Rng& rng, std::size_t trial, OrderPartial& acc) {
+  acc.values.add(rng.uniform());
+  acc.trials.push_back(trial);
+}
+
+eng::RunnerConfig order_config(unsigned threads) {
+  eng::RunnerConfig cfg;
+  cfg.threads = threads;
+  return cfg;
+}
+
+OrderPartial run_order(std::size_t trials) {
+  eng::MonteCarloRunner runner(order_config(1));
+  return runner.run<OrderPartial>(trials, 99, fold_uniform);
+}
+
+/// run_batched over `trials`; `spanned` counts blocks whose lanes fold into
+/// more than one chunk partial.
+OrderPartial run_order_batched(std::size_t trials, unsigned threads,
+                               std::size_t lane_width,
+                               const eng::ShardIo& io = {},
+                               std::size_t* spanned = nullptr) {
+  eng::MonteCarloRunner runner(order_config(threads));
+  if (io.mode != eng::ShardMode::kOff) runner.set_shard_io(io);
+  std::atomic<std::size_t> spans{0};
+  auto total = runner.run_batched<OrderPartial>(
+      trials, 99, lane_width,
+      [&](util::Rng* rngs, std::size_t first, std::size_t n,
+          OrderPartial* const* acc) {
+        for (std::size_t l = 0; l < n; ++l) {
+          fold_uniform(rngs[l], first + l, *acc[l]);
+        }
+        if (acc[0] != acc[n - 1]) ++spans;
+      });
+  if (spanned) *spanned = spans;
+  return total;
+}
+
+void expect_same_fold(const OrderPartial& got, const OrderPartial& want) {
+  EXPECT_EQ(got.trials, want.trials);
+  EXPECT_EQ(got.values.count(), want.values.count());
+  EXPECT_EQ(got.values.mean(), want.values.mean());
+  EXPECT_EQ(got.values.variance(), want.values.variance());
+  EXPECT_EQ(got.values.min(), want.values.min());
+  EXPECT_EQ(got.values.max(), want.values.max());
+}
+
+TEST(BatchedRunner, BlocksSpanningChunksMatchRunBitForBit) {
+  std::size_t spanned_total = 0;
+  for (std::size_t trials : {1u, 16u, 95u, 240u, 1000u}) {
+    const auto reference = run_order(trials);
+    ASSERT_EQ(reference.trials.size(), trials);
+    for (std::size_t lane_width : {1u, 3u, 16u, 64u}) {
+      for (unsigned threads : {1u, 4u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "trials=" << trials << " lanes=" << lane_width
+                     << " threads=" << threads);
+        std::size_t spanned = 0;
+        expect_same_fold(
+            run_order_batched(trials, threads, lane_width, {}, &spanned),
+            reference);
+        spanned_total += spanned;
+      }
+    }
+  }
+  // Chunks hold at most 16 of 1000 trials, so wide blocks must cross them.
+  EXPECT_GT(spanned_total, 0u);
+}
+
+TEST(BatchedRunner, SpanningBlocksShardAndMergeBitIdentically) {
+  for (std::size_t trials : {1u, 16u, 95u, 240u, 1000u}) {
+    const auto reference = run_order(trials);
+    for (std::size_t lane_width : {1u, 3u, 16u, 64u}) {
+      const std::string dir = make_temp_dir("batched_span_shard");
+      for (std::size_t i = 0; i < 4; ++i) {
+        eng::ShardIo io;
+        io.mode = eng::ShardMode::kShard;
+        io.shard = {i, 4};
+        io.dir = dir;
+        run_order_batched(trials, 4, lane_width, io);
+      }
+      eng::ShardIo merge;
+      merge.mode = eng::ShardMode::kMerge;
+      merge.merge_count = 4;
+      merge.dir = dir;
+      SCOPED_TRACE(::testing::Message()
+                   << "trials=" << trials << " lanes=" << lane_width);
+      expect_same_fold(run_order_batched(trials, 1, lane_width, merge),
+                       reference);
+    }
+  }
+}
+
+TEST(BatchedRunner, SpanningBlocksResumeFromCheckpointBitIdentically) {
+  const std::size_t trials = 1000;  // 63 chunks of 16: strides of 3 chunks
+  const auto reference = run_order(trials);
+  for (std::size_t lane_width : {1u, 3u, 16u, 64u}) {
+    SCOPED_TRACE(::testing::Message() << "lanes=" << lane_width);
+    const std::string dir = make_temp_dir("batched_span_ckpt");
+    eng::ShardIo io;
+    io.mode = eng::ShardMode::kCheckpoint;
+    io.dir = dir;
+    io.checkpoint_chunk_stride = 3;
+    {
+      eng::MonteCarloRunner runner(order_config(4));
+      runner.set_shard_io(io);
+      EXPECT_THROW(
+          runner.run_batched<OrderPartial>(
+              trials, 99, lane_width,
+              [](util::Rng* rngs, std::size_t first, std::size_t n,
+                 OrderPartial* const* acc) {
+                if (first + n > 600) throw std::runtime_error("killed");
+                for (std::size_t l = 0; l < n; ++l) {
+                  fold_uniform(rngs[l], first + l, *acc[l]);
+                }
+              }),
+          std::runtime_error);
+    }
+    ASSERT_TRUE(std::filesystem::exists(dir + "/call-000000.part"));
+    io.resume = true;
+    expect_same_fold(run_order_batched(trials, 4, lane_width, io),
+                     reference);
+  }
+}
+
+TEST(BatchedRunner, TasksGroupShortChunksButKeepThePoolBusy) {
+  eng::RunnerConfig cfg;
+  cfg.threads = 4;
+  const eng::MonteCarloRunner runner(cfg);
+  // Chunks at least one block long are never grouped.
+  EXPECT_EQ(runner.batch_tasks(60, 16, 16), 60u);
+  EXPECT_EQ(runner.batch_tasks(60, 4, 1), 60u);
+  // 60 chunks of 4 trials, 64-trial blocks: 16 chunks fill a block, but
+  // 4 groups would idle half of 2 x 4 threads.
+  EXPECT_EQ(runner.batch_tasks(60, 4, 64), 8u);
+  // Plenty of chunks: groups of 16.
+  EXPECT_EQ(runner.batch_tasks(640, 4, 64), 40u);
+  // Never more tasks than chunks.
+  EXPECT_EQ(runner.batch_tasks(3, 4, 64), 3u);
 }
 
 // --- RunningStats::merge ----------------------------------------------------

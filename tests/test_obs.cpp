@@ -387,6 +387,20 @@ TEST(ObsDerived, SoftwareFallbackRowsNeedNoHardwareCounters) {
   EXPECT_TRUE(obs::derived_metrics(obs::Snapshot{}).empty());
 }
 
+TEST(ObsDerived, TrialsPerWallSecUsesCallerWallTime) {
+  // Four workers each busy for the whole 100 ns call: the busy-based rate
+  // reads 4x below the wall-clock one.
+  obs::Snapshot s;
+  s.counters["engine.trials"] = 40;
+  s.counters["engine.busy_ns"] = 400;
+  s.counters["engine.wall_ns"] = 100;
+  const auto d = obs::derived_metrics(s);
+  EXPECT_DOUBLE_EQ(d.at("engine.trials_per_sec"), 1e8);
+  EXPECT_DOUBLE_EQ(d.at("engine.trials_per_wall_sec"), 4e8);
+  s.counters.erase("engine.wall_ns");
+  EXPECT_EQ(obs::derived_metrics(s).count("engine.trials_per_wall_sec"), 0u);
+}
+
 // --- JSON parser ------------------------------------------------------------
 
 TEST(ObsJson, ParsesValuesAndKeepsU64Exact) {

@@ -225,6 +225,76 @@ TEST(Rng, NormalFillPairMatchesTwoSoloFills) {
   EXPECT_EQ(b(), b_ref());
 }
 
+/// Fills one value from `e` and returns how many raw engine draws it took:
+/// 1 on the ziggurat fast path, more when the wedge, tail or retry paths
+/// ran (found by stepping a copy of the old state until it agrees with
+/// the new one).
+std::size_t fill_one_counting_draws(Rng& e, double& v) {
+  Rng shadow = e;
+  e.normal_fill(&v, 1);
+  for (std::size_t d = 1; d < 256; ++d) {
+    shadow();
+    Rng a = shadow, b = e;
+    if (a() == b() && a() == b()) return d;
+  }
+  return 0;
+}
+
+TEST(Rng, NormalFillLanesMatchesSoloFillsPerLane) {
+  // Lane l of a lane fill must be rngs[l].normal_fill(n) value for value
+  // at out[k * ld + l], leave the engine in the solo state, and never read
+  // or advance an engine past `lanes` nor write a column past it. The
+  // reference replays each value through the scalar sampler and counts
+  // its raw draws, so the test also proves it exercised the tail (|z| > r,
+  // strip 0) and wedge (extra draws, |z| <= r) fallbacks.
+  constexpr double kTailCut = 3.442619855899;
+  constexpr std::size_t kEngines = 16;
+  constexpr double kUnwritten = -1234.5;
+  std::size_t tails = 0;
+  std::size_t wedges = 0;
+  for (std::size_t lanes = 1; lanes <= kEngines; ++lanes) {
+    for (std::size_t n : {0u, 1u, 191u, 192u, 1000u}) {
+      SCOPED_TRACE(::testing::Message() << "lanes=" << lanes << " n=" << n);
+      const std::uint64_t seed = 1000 * lanes + n;
+      std::vector<Rng> engines;
+      for (std::size_t l = 0; l < kEngines; ++l) {
+        engines.push_back(Rng::stream(seed, l));
+      }
+      const std::size_t ld = lanes + 2;
+      std::vector<double> out(n * ld, kUnwritten);
+      Rng::normal_fill_lanes(engines.data(), lanes, out.data(), ld, n);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        Rng ref = Rng::stream(seed, l);
+        std::size_t mismatches = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+          double v = 0.0;
+          const std::size_t draws = fill_one_counting_draws(ref, v);
+          mismatches += (out[k * ld + l] != v);
+          if (std::abs(v) > kTailCut) {
+            ++tails;
+          } else if (draws >= 2) {
+            ++wedges;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u) << "lane " << l;
+        EXPECT_EQ(engines[l](), ref()) << "lane " << l;
+      }
+      for (std::size_t l = lanes; l < kEngines; ++l) {
+        EXPECT_EQ(engines[l](), Rng::stream(seed, l)()) << "padded " << l;
+      }
+      std::size_t stray = 0;
+      for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t c = lanes; c < ld; ++c) {
+          stray += (out[k * ld + c] != kUnwritten);
+        }
+      }
+      EXPECT_EQ(stray, 0u);
+    }
+  }
+  EXPECT_GT(tails, 0u);
+  EXPECT_GT(wedges, 0u);
+}
+
 TEST(Rng, NormalFillZeroCountIsANoOp) {
   Rng a(5);
   Rng b(5);
