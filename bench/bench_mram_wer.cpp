@@ -1,14 +1,13 @@
-// Memory-level consequence of Fig. 5: the WER table now lives in the
-// "wer_pulse_width" scenario (see src/scenario/); this binary runs it and
-// keeps the engine-scaling section CI exercises: it measures the parallel
-// speedup of the MonteCarloRunner on this machine and checks that the
-// statistics are bit-identical across thread counts for a fixed seed.
+// Engine scaling and determinism check for the WER workload (the WER table
+// itself is the "wer_pulse_width" scenario, see src/scenario/): measures
+// the parallel speedup of the MonteCarloRunner on this machine and checks
+// that the statistics are bit-identical across thread counts for a fixed
+// seed. Exits nonzero on a determinism failure.
 
 #include <iostream>
 
 #include "mram/wer.h"
 #include "obs/stopwatch.h"
-#include "scenario/compat.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -31,12 +30,6 @@ double seconds_for(const mram::mem::WerConfig& cfg, unsigned threads,
 
 int main() {
   using namespace mram;
-
-  if (const int rc = scn::run_scenario_main("wer_pulse_width"); rc != 0) {
-    return rc;
-  }
-
-  // --- engine scaling ------------------------------------------------------
 
   mem::WerConfig scale_cfg;
   scale_cfg.array.device = dev::MtjParams::reference_device(35e-9);

@@ -9,7 +9,7 @@
 
 // Generalized N x M array field model. The paper truncates the neighborhood
 // to the 3x3 window (radius 1); this model supports any truncation radius so
-// that bench_ablation_array_size can quantify the truncation error, and it
+// that scenario abl_array_size can quantify the truncation error, and it
 // powers the memory-level simulations where every cell is simultaneously a
 // victim of its own neighborhood.
 //

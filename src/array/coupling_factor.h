@@ -19,7 +19,7 @@ namespace mram::arr {
 double coupling_factor(const InterCellSolver& solver, double hc);
 
 /// Alternative coupling-strength definitions, compared against the paper's
-/// in bench_ablation_psi_definition:
+/// in scenario abl_psi_definition:
 ///  - kMaxVariation: the paper's Psi (max - min over NP8) / Hc.
 ///  - kMaxMagnitude: max |Hz_s_inter| over NP8 / Hc -- penalizes a large
 ///    data-independent (HL+RL) component that the paper's definition

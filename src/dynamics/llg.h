@@ -17,7 +17,7 @@
 //                     + a_j ( m x (m x p) - alpha m x p ) ],
 //
 // gamma' = gamma mu0 / (1 + alpha^2), with the spin-torque field
-// a_j = hbar eta I / (2 e mu0 Ms V). bench_ablation_llg_vs_sun compares the
+// a_j = hbar eta I / (2 e mu0 Ms V). scenario abl_llg_vs_sun compares the
 // two; the linearized critical torque a_j = alpha * Hk reproduces Eq. 2's
 // Ic0 (tested in tests/dynamics).
 

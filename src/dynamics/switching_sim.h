@@ -7,7 +7,7 @@
 // Bridges the device model and the LLG solver: builds a MacrospinSim from
 // MtjParams so the same calibrated device can be simulated dynamically, and
 // provides Monte Carlo switching-time estimation used by
-// bench_ablation_llg_vs_sun.
+// scenario abl_llg_vs_sun.
 
 namespace mram::dyn {
 

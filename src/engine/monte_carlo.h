@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -87,9 +89,6 @@ class MonteCarloRunner {
   /// directory to catch shards whose control flow diverged.
   std::uint64_t shard_calls() const { return call_counter_; }
 
-  /// Runs `trials` independent trials and returns the merged accumulator.
-  /// MakeContext: () -> Ctx, invoked once per chunk on the executing worker.
-  /// TrialFn: (Ctx&, util::Rng&, std::size_t trial_index, Partial&) -> void.
   /// Chunk actually used for `trials`: config.chunk_size capped so that a
   /// run always splits into ~kTargetChunks pieces. Depends only on
   /// (trials, chunk_size) -- never on the thread count -- so the
@@ -108,34 +107,20 @@ class MonteCarloRunner {
   /// consumer (dyn::BatchMacrospinSim takes up to 64 trials per call).
   static constexpr std::size_t kMaxLaneWidth = 64;
 
+  /// Runs `trials` independent trials and returns the merged accumulator.
+  /// MakeContext: () -> Ctx, invoked once per chunk on the executing worker.
+  /// TrialFn: (Ctx&, util::Rng&, std::size_t trial_index, Partial&) -> void.
+  /// run_batched() at lane width 1: every worker task is exactly one chunk,
+  /// so each chunk gets its own context.
   template <class Partial, class MakeContext, class TrialFn>
   Partial run(std::size_t trials, std::uint64_t seed,
               MakeContext&& make_context, TrialFn&& trial) {
-    MRAM_EXPECTS(trials > 0, "need at least one trial");
-    const std::size_t chunk = effective_chunk(trials);
-    const std::size_t n_chunks = (trials + chunk - 1) / chunk;
-    return run_chunks<Partial>(
-        trials, chunk, n_chunks, seed,
-        [&](std::size_t lo_chunk, std::size_t hi_chunk,
-            std::vector<Partial>& partials) {
-          pool_.for_each(hi_chunk - lo_chunk, [&](std::size_t k) {
-            const std::size_t ci = lo_chunk + k;
-            obs::ChunkScope scope(chunk_block(k));
-            obs::TraceSpan span("engine", [ci] {
-              return "chunk " + std::to_string(ci);
-            });
-            auto context = make_context();
-            Partial acc;
-            const std::size_t lo = ci * chunk;
-            const std::size_t hi = std::min(lo + chunk, trials);
-            for (std::size_t i = lo; i < hi; ++i) {
-              util::Rng rng = util::Rng::stream(seed, i);
-              trial(context, rng, i, acc);
-            }
-            partials[k] = std::move(acc);
-            scope.finish(hi - lo);
-            obs::progress_add_trials(hi - lo);
-          });
+    return run_lanes<Partial>(
+        trials, seed, std::integral_constant<std::size_t, 1>{},
+        std::forward<MakeContext>(make_context),
+        [&trial](auto& context, util::Rng* rngs, std::size_t first,
+                 std::size_t, Partial* const* acc) {
+          trial(context, rngs[0], first, *acc[0]);
         });
   }
 
@@ -175,49 +160,9 @@ class MonteCarloRunner {
   Partial run_batched(std::size_t trials, std::uint64_t seed,
                       std::size_t lane_width, MakeContext&& make_context,
                       BatchFn&& batch) {
-    MRAM_EXPECTS(trials > 0, "need at least one trial");
-    MRAM_EXPECTS(lane_width > 0, "lane width must be positive");
-    MRAM_EXPECTS(lane_width <= kMaxLaneWidth,
-                 "lane width exceeds engine maximum (64)");
-    const std::size_t chunk = effective_chunk(trials);
-    const std::size_t n_chunks = (trials + chunk - 1) / chunk;
-    return run_chunks<Partial>(
-        trials, chunk, n_chunks, seed,
-        [&](std::size_t lo_chunk, std::size_t hi_chunk,
-            std::vector<Partial>& partials) {
-          const std::size_t m = hi_chunk - lo_chunk;
-          const std::size_t tasks = batch_tasks(m, chunk, lane_width);
-          pool_.for_each(tasks, [&](std::size_t k) {
-            // Task k owns chunks [c0, c1) of the fan-out: an even split.
-            const std::size_t c0 = lo_chunk + k * m / tasks;
-            const std::size_t c1 = lo_chunk + (k + 1) * m / tasks;
-            obs::ChunkScope scope(chunk_block(c0 - lo_chunk));
-            obs::TraceSpan span("engine", [c0, c1] {
-              return "chunks " + std::to_string(c0) + "-" +
-                     std::to_string(c1 - 1);
-            });
-            auto context = make_context();
-            const std::size_t lo = c0 * chunk;
-            const std::size_t hi = std::min(c1 * chunk, trials);
-            // Lane streams and accumulator targets live in fixed stack
-            // buffers, assigned in place per block -- no per-block heap
-            // churn in the hot scheduling loop.
-            util::Rng rngs[kMaxLaneWidth];
-            Partial* acc[kMaxLaneWidth];
-            for (std::size_t base = lo; base < hi; base += lane_width) {
-              const std::size_t lanes = std::min(lane_width, hi - base);
-              for (std::size_t l = 0; l < lanes; ++l) {
-                rngs[l] = util::Rng::stream(seed, base + l);
-                acc[l] = &partials[(base + l) / chunk - lo_chunk];
-              }
-              batch(context, rngs, base, lanes, acc);
-              obs::counter_add(obs::Counter::kEngineBatchBlocks);
-              obs::counter_add(obs::Counter::kEngineBatchLanes, lanes);
-            }
-            scope.finish(hi - lo, c1 - c0);
-            obs::progress_add_trials(hi - lo);
-          });
-        });
+    return run_lanes<Partial>(trials, seed, lane_width,
+                              std::forward<MakeContext>(make_context),
+                              std::forward<BatchFn>(batch));
   }
 
   /// Context-free convenience overload of run_batched().
@@ -252,6 +197,80 @@ class MonteCarloRunner {
 
  private:
   static constexpr std::size_t kTargetChunks = 64;
+
+  /// Uninitialized storage for one task's lane streams (see run_lanes).
+  template <std::size_t N>
+  union LaneStreams {
+    LaneStreams() {}
+    util::Rng rng[N];
+  };
+  static_assert(std::is_trivially_destructible_v<util::Rng>);
+
+  /// The one chunk loop behind run() and run_batched(). `Lanes` is
+  /// std::size_t, or std::integral_constant<std::size_t, 1> from run(): a
+  /// compile-time width sizes the lane buffers to one stream, which the
+  /// compiler then keeps in registers like a plain local.
+  template <class Partial, class Lanes, class MakeContext, class BatchFn>
+  Partial run_lanes(std::size_t trials, std::uint64_t seed, Lanes lane_width,
+                    MakeContext&& make_context, BatchFn&& batch) {
+    MRAM_EXPECTS(trials > 0, "need at least one trial");
+    MRAM_EXPECTS(lane_width > 0, "lane width must be positive");
+    MRAM_EXPECTS(lane_width <= kMaxLaneWidth,
+                 "lane width exceeds engine maximum (64)");
+    const std::size_t chunk = effective_chunk(trials);
+    const std::size_t n_chunks = (trials + chunk - 1) / chunk;
+    return run_chunks<Partial>(
+        trials, chunk, n_chunks, seed,
+        [&](std::size_t lo_chunk, std::size_t hi_chunk,
+            std::vector<Partial>& partials) {
+          const std::size_t m = hi_chunk - lo_chunk;
+          const std::size_t tasks = batch_tasks(m, chunk, lane_width);
+          pool_.for_each(tasks, [&](std::size_t k) {
+            // Task k owns chunks [c0, c1) of the fan-out: an even split.
+            const std::size_t c0 = lo_chunk + k * m / tasks;
+            const std::size_t c1 = lo_chunk + (k + 1) * m / tasks;
+            obs::ChunkScope scope(chunk_block(c0 - lo_chunk));
+            obs::TraceSpan span("engine", [c0, c1] {
+              return c1 - c0 == 1 ? "chunk " + std::to_string(c0)
+                                  : "chunks " + std::to_string(c0) + "-" +
+                                        std::to_string(c1 - 1);
+            });
+            auto context = make_context();
+            const std::size_t lo = c0 * chunk;
+            const std::size_t hi = std::min(c1 * chunk, trials);
+            // Lane streams and accumulator targets live in fixed stack
+            // buffers that each block overwrites lane by lane -- no heap
+            // churn, and no default construction (a splitmix64 reseed per
+            // engine) of streams the task never uses.
+            constexpr std::size_t kCap = std::is_same_v<Lanes, std::size_t>
+                                             ? kMaxLaneWidth
+                                             : std::size_t{Lanes{}};
+            LaneStreams<kCap> streams;
+            util::Rng* const rngs = streams.rng;
+            Partial* acc[kCap];
+            std::size_t owner = c0 - lo_chunk;  // partial of the next trial
+            std::size_t owner_end = lo + chunk;  // first trial past it
+            for (std::size_t base = lo; base < hi; base += lane_width) {
+              const std::size_t lanes =
+                  std::min<std::size_t>(lane_width, hi - base);
+              for (std::size_t l = 0; l < lanes; ++l) {
+                if (base + l == owner_end) {
+                  ++owner;
+                  owner_end += chunk;
+                }
+                std::construct_at(rngs + l, util::Rng::stream(seed, base + l));
+                acc[l] = &partials[owner];
+              }
+              batch(context, rngs, base, lanes, acc);
+            }
+            obs::counter_add(obs::Counter::kEngineBatchBlocks,
+                             (hi - lo + lane_width - 1) / lane_width);
+            obs::counter_add(obs::Counter::kEngineBatchLanes, hi - lo);
+            scope.finish(hi - lo, c1 - c0);
+            obs::progress_add_trials(hi - lo);
+          });
+        });
+  }
 
   /// Per-runner-call observability: counts the call, stamps the config
   /// gauges, announces the trial total to the progress gate, opens the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 namespace mram::eng {
 
@@ -43,6 +44,16 @@ RareEventEstimate importance_estimate(const util::WeightedStats& ws) {
   return est;
 }
 
+void reject_shard_mode(const MonteCarloRunner& runner, const char* driver) {
+  if (runner.shard_io().mode == ShardMode::kShard) {
+    throw util::ConfigError(
+        std::string(driver) +
+        " cannot run in shard mode: it adapts its runner calls to merged "
+        "results that a shard never sees (run it unsharded or with "
+        "--checkpoint)");
+  }
+}
+
 namespace {
 
 /// One generation of subset-simulation states: latent vectors (trial-major)
@@ -69,6 +80,7 @@ RareEventEstimate subset_simulation(
   cfg.validate();
   MRAM_EXPECTS(dim > 0, "subset simulation needs a positive dimension");
   MRAM_EXPECTS(n_per_level >= 4, "subset simulation needs >= 4 per level");
+  reject_shard_mode(runner, "subset simulation");
   const std::size_t N = n_per_level;
   const double dN = static_cast<double>(N);
 

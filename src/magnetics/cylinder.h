@@ -7,7 +7,7 @@
 // (Derby & Olbert, Am. J. Phys. 78, 229 (2010)), expressed with Bulirsch's
 // cel function. This is the *exact* field of the DiskSource geometry: the
 // stacked-sub-loop discretization of disk_field converges to it as
-// sub_loops grows (tests/test_magnetics, bench_ablation_segments). For a
+// sub_loops grows (tests/test_magnetics, scenario abl_segments). For a
 // layer of thickness t and magnetization Ms, the surface current density is
 // Ms and the total bound current Ms*t, matching the disk's ms_t parameter.
 

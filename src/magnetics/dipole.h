@@ -5,7 +5,7 @@
 // Point-dipole approximation of a magnetized layer. Used (a) as the far-field
 // limit every loop/disk evaluator must reproduce (property tests), and (b) as
 // a cheap inter-cell field model whose error vs. the full loop model is
-// quantified in bench_ablation_dipole.
+// quantified in scenario abl_dipole.
 
 namespace mram::mag {
 

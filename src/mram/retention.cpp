@@ -97,9 +97,10 @@ RetentionEnsembleResult measure_retention_faults(
                                          config.array.cols, rng);
   const std::uint64_t seed = rng();
 
-  // Trial-invariant per-cell flip probabilities, hoisted once: the rare
-  // drivers sample from transformed versions of this table, and every path
-  // reports the closed-form array fault probability it implies.
+  // Trial-invariant per-cell flip probabilities, hoisted once: brute force
+  // draws against this table, the rare drivers sample from transformed
+  // versions of it, and every path reports the closed-form array fault
+  // probability it implies.
   std::vector<double> p_flip;
   {
     MramArray probe(prototype);
@@ -148,20 +149,25 @@ RetentionEnsembleResult measure_retention_faults(
       }
       est = eng::importance_rounds(
           runner, config.trials, seed, config.rare,
-          [&](util::Rng& trial_rng, std::size_t, util::WeightedStats& ws) {
-            double logw = base0;
-            bool any = false;
-            for (std::size_t i = 0; i < cells; ++i) {
-              if (q[i] > 0.0 && trial_rng.uniform() < q[i]) {
-                logw += dl[i];
-                any = true;
-              }
-            }
-            if (any) {
-              ws.add(1.0, std::exp(logw));
-            } else {
-              ws.add(0.0, 0.0);
-            }
+          [&](std::uint64_t round_seed) {
+            return runner.run<util::WeightedStats>(
+                config.trials, round_seed,
+                [&](util::Rng& trial_rng, std::size_t,
+                    util::WeightedStats& ws) {
+                  double logw = base0;
+                  bool any = false;
+                  for (std::size_t i = 0; i < cells; ++i) {
+                    if (q[i] > 0.0 && trial_rng.uniform() < q[i]) {
+                      logw += dl[i];
+                      any = true;
+                    }
+                  }
+                  if (any) {
+                    ws.add(1.0, std::exp(logw));
+                  } else {
+                    ws.add(0.0, 0.0);
+                  }
+                });
           });
     } else {
       // Subset simulation on the per-cell latent Gaussians: cell i flips
@@ -193,50 +199,19 @@ RetentionEnsembleResult measure_retention_faults(
     return result;
   }
 
-  const auto record = [](std::size_t flips, Partial& acc) {
-    acc.faulty += (flips > 0);
-    acc.flips += flips;
-    acc.per_hold.add(static_cast<double>(flips));
-  };
-
-  // Every trial holds the same pattern, so the per-cell flip probabilities
-  // are trial-invariant: the batched path evaluates the exp-heavy table
-  // once per worker task and each lane only pays the bernoulli draws (the
-  // same draws in the same order as retention_hold -- results are
-  // bit-identical to the scalar reference, batch_lanes == 0). The context's
-  // array is scratch that every trial reloads before use, so the context
-  // holds nothing trial-dependent.
-  struct Ctx {
-    MramArray array;
-    std::vector<double> p_flip;
-  };
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? runner.run_batched<Partial>(
-                config.trials, seed, config.batch_lanes,
-                [&] {
-                  Ctx ctx{MramArray(prototype), {}};
-                  ctx.array.load(pattern);
-                  ctx.p_flip =
-                      ctx.array.retention_flip_probabilities(config.hold);
-                  return ctx;
-                },
-                [&](Ctx& ctx, util::Rng* rngs, std::size_t,
-                    std::size_t lanes, Partial* const* acc) {
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    ctx.array.load(pattern);
-                    record(ctx.array.apply_retention_flips(ctx.p_flip,
-                                                           rngs[l]),
-                           *acc[l]);
-                  }
-                })
-          : runner.run<Partial>(
-                config.trials, seed, [&] { return MramArray(prototype); },
-                [&](MramArray& array, util::Rng& trial_rng, std::size_t,
-                    Partial& acc) {
-                  array.load(pattern);
-                  record(array.retention_hold(config.hold, trial_rng), acc);
-                });
+  // Brute force: each trial reloads the pattern into its chunk's scratch
+  // array and draws one bernoulli per cell against the hoisted table --
+  // the same draws in the same order as MramArray::retention_hold.
+  const auto partial = runner.run<Partial>(
+      config.trials, seed, [&] { return MramArray(prototype); },
+      [&](MramArray& array, util::Rng& trial_rng, std::size_t, Partial& acc) {
+        array.load(pattern);
+        const std::size_t flips =
+            array.apply_retention_flips(p_flip, trial_rng);
+        acc.faulty += (flips > 0);
+        acc.flips += flips;
+        acc.per_hold.add(static_cast<double>(flips));
+      });
 
   RetentionEnsembleResult result;
   result.trials = config.trials;

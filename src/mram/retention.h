@@ -38,18 +38,14 @@ WorstPattern worst_retention_pattern(const ArrayConfig& config,
 /// Monte Carlo retention-fault ensemble: repeated independent holds of the
 /// same pattern, each trial drawing its own thermal history. Runs on the
 /// engine runner (parallel, bit-identical across thread counts for a fixed
-/// seed).
+/// seed). The per-cell flip-probability table is trial-invariant and built
+/// once per call; each trial pays only its per-cell bernoulli draws.
 struct RetentionEnsembleConfig {
   ArrayConfig array;
   arr::PatternKind pattern = arr::PatternKind::kAllZero;
   double hold = 1.0;          ///< dwell per trial [s]
   std::size_t trials = 1000;
   eng::RunnerConfig runner;
-  std::size_t batch_lanes = 8;  ///< trials per lane-block on the batched
-                                ///< runner path (each chunk also hoists the
-                                ///< per-cell flip-probability table out of
-                                ///< its trial loop); 0 selects the scalar
-                                ///< reference path (bit-identical results)
   /// Rare-event driver selection (default: brute force, the legacy loop).
   /// Importance sampling inflates the per-cell flip probabilities and
   /// carries exact product-Bernoulli likelihood ratios; splitting runs

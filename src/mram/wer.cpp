@@ -12,12 +12,8 @@ namespace {
 
 struct WerPartial {
   std::size_t errors = 0;
-  util::RunningStats psucc;
 
-  void merge(const WerPartial& o) {
-    errors += o.errors;
-    psucc.merge(o.psucc);
-  }
+  void merge(const WerPartial& o) { errors += o.errors; }
 };
 
 }  // namespace
@@ -49,12 +45,12 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
   background.set(vr, vc, initial_bit);
   const std::uint64_t seed = rng();
 
-  // The same expressions MramArray::write evaluates per trial, once: stray
-  // field of the loaded background at the victim, then the analytic success
-  // probability. No rng draw here, so the caller's stream stays in lockstep
-  // with the scalar reference path. Shared by the batched brute-force path
-  // and both rare-event drivers.
-  const auto hoisted_success_probability = [&] {
+  // Every trial reloads the same background and fires the same pulse at
+  // the same victim, so the stray field and the analytic success
+  // probability are trial-invariant: the expressions MramArray::write
+  // evaluates per trial, evaluated once per call. No rng draw here, so the
+  // per-trial streams see exactly the draws of a full load/write trial.
+  const double p = [&] {
     MramArray probe(prototype);
     probe.load(background);
     MRAM_ENSURES(probe.read(vr, vc) != target_bit,
@@ -64,7 +60,7 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
     return probe.device().write_success_probability(
         dir, config.pulse.voltage, config.pulse.width,
         probe.stray_field_at(vr, vc), config.array.temperature);
-  };
+  }();
 
   if (config.rare.method != eng::RareEventMethod::kBruteForce) {
     // A write error is a single analytic Bernoulli with success probability
@@ -73,7 +69,6 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
     // (mean shift beta, the most likely failure point) and unbiases with
     // the likelihood ratio; splitting runs subset simulation on the margin
     // deficit z - beta. Either reaches WERs far below 1/trials.
-    const double p = hoisted_success_probability();
     const double beta = util::probit(p);
     eng::RareEventEstimate est;
     if (!std::isfinite(beta)) {
@@ -86,15 +81,19 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
       const double theta = (config.rare.tilt != 0.0) ? config.rare.tilt : beta;
       est = eng::importance_rounds(
           runner, config.trials, seed, config.rare,
-          [theta, beta](util::Rng& trial_rng, std::size_t,
-                        util::WeightedStats& ws) {
-            double y;
-            trial_rng.normal_fill_tilted(&y, 1, &theta, 1);
-            if (y > beta) {
-              ws.add(1.0, std::exp(0.5 * theta * theta - theta * y));
-            } else {
-              ws.add(0.0, 0.0);
-            }
+          [&](std::uint64_t round_seed) {
+            return runner.run<util::WeightedStats>(
+                config.trials, round_seed,
+                [theta, beta](util::Rng& trial_rng, std::size_t,
+                              util::WeightedStats& ws) {
+                  double y;
+                  trial_rng.normal_fill_tilted(&y, 1, &theta, 1);
+                  if (y > beta) {
+                    ws.add(1.0, std::exp(0.5 * theta * theta - theta * y));
+                  } else {
+                    ws.add(0.0, 0.0);
+                  }
+                });
           });
     } else {
       est = eng::subset_simulation(
@@ -112,41 +111,14 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
     return result;
   }
 
-  // The batched path hoists the trial-invariant physics: every trial
-  // reloads the same background and fires the same pulse at the same
-  // victim, so the stray field and the analytic success probability are
-  // one evaluation per call, not one per trial. Each lane then pays
-  // exactly one bernoulli draw -- the same single uniform the scalar
-  // reference consumes per trial -- and folding lanes in order keeps the
-  // accumulation order, so every statistic is bit-identical to the scalar
-  // reference path (batch_lanes == 0, which still exercises the full
-  // load/write pipeline per trial).
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? [&] {
-              const double p = hoisted_success_probability();
-              return runner.run_batched<WerPartial>(
-                  config.trials, seed, config.batch_lanes,
-                  [&](util::Rng* rngs, std::size_t, std::size_t lanes,
-                      WerPartial* const* acc) {
-                    for (std::size_t l = 0; l < lanes; ++l) {
-                      acc[l]->psucc.add(p);
-                      if (!rngs[l].bernoulli(p)) ++acc[l]->errors;
-                    }
-                  });
-            }()
-          : runner.run<WerPartial>(
-                config.trials, seed, [&] { return MramArray(prototype); },
-                [&](MramArray& array, util::Rng& trial_rng, std::size_t,
-                    WerPartial& acc) {
-                  array.load(background);
-                  const auto wr = array.write(vr, vc, target_bit,
-                                              config.pulse, trial_rng);
-                  MRAM_ENSURES(wr.attempted,
-                               "victim must start in the initial state");
-                  acc.psucc.add(wr.success_probability);
-                  if (!wr.success) ++acc.errors;
-                });
+  // Brute force: each trial pays exactly the one bernoulli draw a full
+  // load/write trial consumes. Every trial's success probability is p, so
+  // p is also their mean, exactly.
+  const auto partial = runner.run<WerPartial>(
+      config.trials, seed,
+      [p](util::Rng& trial_rng, std::size_t, WerPartial& acc) {
+        if (!trial_rng.bernoulli(p)) ++acc.errors;
+      });
 
   WerResult result;
   result.trials = config.trials;
@@ -154,7 +126,7 @@ WerResult measure_wer(const WerConfig& config, util::Rng& rng,
   result.wer =
       static_cast<double>(result.errors) / static_cast<double>(result.trials);
   result.confidence = util::wilson_interval(result.errors, result.trials);
-  result.mean_success_probability = partial.psucc.mean();
+  result.mean_success_probability = p;
   result.rare = eng::brute_force_estimate(result.errors, result.trials);
   return result;
 }

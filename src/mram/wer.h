@@ -13,7 +13,10 @@
 //
 // Trials run on the engine's MonteCarloRunner: parallel across the
 // configured worker threads, with per-trial counter-based RNG streams, so
-// results for a given seed are bit-identical at any thread count.
+// results for a given seed are bit-identical at any thread count. The
+// stray field and write success probability at the victim are the same
+// for every trial, so they are evaluated once per call; each trial pays
+// only the bernoulli draw of its write.
 
 namespace mram::mem {
 
@@ -24,9 +27,6 @@ struct WerConfig {
   dev::SwitchDirection direction = dev::SwitchDirection::kApToP;
   std::size_t trials = 1000;
   eng::RunnerConfig runner;  ///< thread pool + chunking for the trial loop
-  std::size_t batch_lanes = 8;  ///< trials per lane-block on the batched
-                                ///< runner path; 0 selects the scalar
-                                ///< reference path (bit-identical results)
   /// Rare-event driver selection. Brute force (default) runs the legacy
   /// trial loop unchanged; importance sampling tilts the latent write-noise
   /// variable toward failure, splitting runs subset simulation on the

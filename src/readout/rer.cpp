@@ -98,14 +98,20 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
           0.5 * (tilt[1] * tilt[1] + tilt[2] * tilt[2]);
       est = eng::importance_rounds(
           runner, config.trials, seed, config.rare,
-          [&](util::Rng& trial_rng, std::size_t, util::WeightedStats& ws) {
-            double z[3];
-            trial_rng.normal_fill_tilted(z, 3, tilt, 3);
-            if (model.noise_margin(op, config.stored, z) < band) {
-              ws.add(1.0, std::exp(bias - tilt[1] * z[1] - tilt[2] * z[2]));
-            } else {
-              ws.add(0.0, 0.0);
-            }
+          [&](std::uint64_t round_seed) {
+            return runner.run<util::WeightedStats>(
+                config.trials, round_seed,
+                [&](util::Rng& trial_rng, std::size_t,
+                    util::WeightedStats& ws) {
+                  double z[3];
+                  trial_rng.normal_fill_tilted(z, 3, tilt, 3);
+                  if (model.noise_margin(op, config.stored, z) < band) {
+                    ws.add(1.0, std::exp(bias - tilt[1] * z[1] -
+                                         tilt[2] * z[2]));
+                  } else {
+                    ws.add(0.0, 0.0);
+                  }
+                });
           });
     } else {
       est = eng::subset_simulation(
@@ -126,36 +132,17 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
     return result;
   }
 
-  // The batched path hoists the trial-invariant electrical solve: every
-  // trial reads the same cell on the same column, so the ladder reduction
-  // and the reference current are one evaluation per run. Each lane then
-  // consumes exactly the per-read draw sequence of ReadErrorModel::
-  // sample_read -- the same draws the scalar reference path consumes -- and
-  // folding lanes in trial order keeps the accumulation order, so every
-  // statistic is bit-identical to batch_lanes == 0 (which still re-derives
-  // the operating point per trial, exercising the full pipeline).
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? runner.run_batched<RerPartial>(
-                config.trials, seed, config.batch_lanes,
-                [&](util::Rng* rngs, std::size_t, std::size_t lanes,
-                    RerPartial* const* acc) {
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    fold_read(model.sample_read(op, config.stored,
-                                                config.hz_stray,
-                                                config.temperature, rngs[l]),
-                              *acc[l]);
-                  }
-                })
-          : runner.run<RerPartial>(
-                config.trials, seed,
-                [&](util::Rng& trial_rng, std::size_t, RerPartial& acc) {
-                  const auto trial_op = model.operating_point(row, column);
-                  fold_read(model.sample_read(trial_op, config.stored,
-                                              config.hz_stray,
-                                              config.temperature, trial_rng),
-                            acc);
-                });
+  // Brute force: every trial reads the same cell on the same column, so
+  // the hoisted operating point (ladder reduction, reference current)
+  // serves them all; each trial pays only the per-read draws of
+  // ReadErrorModel::sample_read.
+  const auto partial = runner.run<RerPartial>(
+      config.trials, seed,
+      [&](util::Rng& trial_rng, std::size_t, RerPartial& acc) {
+        fold_read(model.sample_read(op, config.stored, config.hz_stray,
+                                    config.temperature, trial_rng),
+                  acc);
+      });
 
   RerResult result;
   result.trials = config.trials;
@@ -212,8 +199,8 @@ struct StagePartial {
 /// conditional crossing fractions. Deterministic across --threads: stage k
 /// trial i draws only from Rng::stream(derive_seed(seed, k), i) -- the
 /// parent pick first, then the integrator -- and all cross-trial logic runs
-/// serially on the chunk-order-merged results; the batched shape consumes
-/// the identical per-trial draws through the per-lane-durations kernel.
+/// serially on the chunk-order-merged results. Lanes run through the
+/// per-lane-durations kernel, so each trial keeps its own remaining window.
 eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
                                          eng::MonteCarloRunner& runner,
                                          const dyn::LlgParams& llg,
@@ -223,6 +210,7 @@ eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
   config.rare.validate();
   const std::size_t N = config.trials;
   MRAM_EXPECTS(N >= 4, "splitting needs >= 4 trajectories per stage");
+  eng::reject_shard_mode(runner, "read-disturb splitting");
   const double dN = static_cast<double>(N);
 
   // Stage schedule: descending |mz| thresholds ending at the mz = 0
@@ -268,83 +256,55 @@ eng::RareEventEstimate disturb_splitting(const ReadDisturbConfig& config,
     const std::uint64_t stage_seed = eng::derive_seed(seed, k);
     const std::size_t pool = pool_m.size();
 
-    // Per-trial draw order, both shapes: stage 0 pays the thermal tilt's
+    // Per-trial draw order: stage 0 pays the thermal tilt's
     // two uniforms; later stages pay one below(pool) for the parent pick;
     // then the stream goes to the integrator. A parent that crossed with
     // no window left fails immediately without touching the integrator.
-    StagePartial gen;
-    if (config.batch_lanes > 0) {
-      gen = runner.run_batched<StagePartial>(
-          N, stage_seed, config.batch_lanes,
-          [&] { return dyn::BatchMacrospinSim(llg); },
-          [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
-              std::size_t lanes, StagePartial* const* acc) {
-            num::Vec3 m0[kMaxLanes];
-            double left[kMaxLanes];
-            double base_t[kMaxLanes];
-            std::size_t idx[kMaxLanes];
-            util::Rng comp[kMaxLanes];
-            dyn::SwitchResult res[kMaxLanes];
-            std::size_t na = 0;
-            for (std::size_t l = 0; l < lanes; ++l) {
-              double t0 = 0.0;
-              num::Vec3 start;
-              if (k == 0) {
-                start = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
-              } else {
-                const std::size_t j = rngs[l].below(pool);
-                start = pool_m[j];
-                t0 = pool_t[j];
-              }
-              if (duration - t0 <= 0.0) {
-                res[l].time = t0;
-                continue;
-              }
-              m0[na] = start;
-              left[na] = duration - t0;
-              base_t[na] = t0;
-              comp[na] = rngs[l];
-              idx[na] = l;
-              ++na;
-            }
-            if (na > 0) {
-              dyn::SwitchResult sub[kMaxLanes];
-              batch.run_until_switch(na, m0, comp, left, config.dt, sub,
-                                     thr);
-              for (std::size_t a = 0; a < na; ++a) {
-                sub[a].time += base_t[a];
-                res[idx[a]] = sub[a];
-              }
-            }
-            for (std::size_t l = 0; l < lanes; ++l) {
-              acc[l]->results.push_back(res[l]);
-            }
-          });
-    } else {
-      gen = runner.run<StagePartial>(
-          N, stage_seed, [&] { return dyn::MacrospinSim(llg); },
-          [&](dyn::MacrospinSim& sim, util::Rng& trial_rng, std::size_t,
-              StagePartial& acc) {
+    const StagePartial gen = runner.run_batched<StagePartial>(
+        N, stage_seed, kMaxLanes,
+        [&] { return dyn::BatchMacrospinSim(llg); },
+        [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
+            std::size_t lanes, StagePartial* const* acc) {
+          num::Vec3 m0[kMaxLanes];
+          double left[kMaxLanes];
+          double base_t[kMaxLanes];
+          std::size_t idx[kMaxLanes];
+          util::Rng comp[kMaxLanes];
+          dyn::SwitchResult res[kMaxLanes];
+          std::size_t na = 0;
+          for (std::size_t l = 0; l < lanes; ++l) {
             double t0 = 0.0;
             num::Vec3 start;
             if (k == 0) {
-              start = dyn::thermal_initial_tilt(trial_rng, delta, mz0);
+              start = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
             } else {
-              const std::size_t j = trial_rng.below(pool);
+              const std::size_t j = rngs[l].below(pool);
               start = pool_m[j];
               t0 = pool_t[j];
             }
-            dyn::SwitchResult r{};
-            if (duration - t0 > 0.0) {
-              r = sim.run_until_switch(start, duration - t0, config.dt,
-                                       trial_rng, thr);
-              r.time += t0;
-            } else {
-              r.time = t0;
+            if (duration - t0 <= 0.0) {
+              res[l].time = t0;
+              continue;
             }
-            acc.results.push_back(r);
-          });
-    }
+            m0[na] = start;
+            left[na] = duration - t0;
+            base_t[na] = t0;
+            comp[na] = rngs[l];
+            idx[na] = l;
+            ++na;
+          }
+          if (na > 0) {
+            dyn::SwitchResult sub[kMaxLanes];
+            batch.run_until_switch(na, m0, comp, left, config.dt, sub, thr);
+            for (std::size_t a = 0; a < na; ++a) {
+              sub[a].time += base_t[a];
+              res[idx[a]] = sub[a];
+            }
+          }
+          for (std::size_t l = 0; l < lanes; ++l) {
+            acc[l]->results.push_back(res[l]);
+          }
+        });
     simulated += dN;
 
     std::vector<num::Vec3> next_m;
@@ -425,8 +385,6 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
   const double mz0 = dev::state_direction(config.stored);
 
   const std::uint64_t seed = rng();
-  MRAM_EXPECTS(config.batch_lanes <= kMaxLanes,
-               "read-disturb lane width capped at 64");
 
   if (config.rare.method != eng::RareEventMethod::kBruteForce) {
     eng::RareEventEstimate est;
@@ -446,37 +404,27 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
           ws.add(0.0, 0.0);
         }
       };
-      est =
-          (config.batch_lanes > 0)
-              ? eng::importance_rounds_batched(
-                    runner, config.trials, config.batch_lanes, seed,
-                    config.rare, [&] { return dyn::BatchMacrospinSim(llg); },
-                    [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs,
-                        std::size_t, std::size_t lanes,
-                        util::WeightedStats* const* ws) {
-                      num::Vec3 m0[kMaxLanes];
-                      dyn::SwitchResult result[kMaxLanes];
-                      for (std::size_t l = 0; l < lanes; ++l) {
-                        m0[l] =
-                            dyn::thermal_initial_tilt(rngs[l], delta, mz0);
-                      }
-                      batch.run_until_switch(lanes, m0, rngs, duration,
-                                             config.dt, result, 0.0, tilt);
-                      for (std::size_t l = 0; l < lanes; ++l) {
-                        fold(result[l], *ws[l]);
-                      }
-                    })
-              : eng::importance_rounds(
-                    runner, config.trials, seed, config.rare,
-                    [&](util::Rng& trial_rng, std::size_t,
-                        util::WeightedStats& ws) {
-                      const dyn::MacrospinSim sim(llg);
-                      const num::Vec3 m0 =
-                          dyn::thermal_initial_tilt(trial_rng, delta, mz0);
-                      fold(sim.run_until_switch(m0, duration, config.dt,
-                                                trial_rng, 0.0, tilt),
-                           ws);
-                    });
+      est = eng::importance_rounds(
+          runner, config.trials, seed, config.rare,
+          [&](std::uint64_t round_seed) {
+            return runner.run_batched<util::WeightedStats>(
+                config.trials, round_seed, kMaxLanes,
+                [&] { return dyn::BatchMacrospinSim(llg); },
+                [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs,
+                    std::size_t, std::size_t lanes,
+                    util::WeightedStats* const* ws) {
+                  num::Vec3 m0[kMaxLanes];
+                  dyn::SwitchResult result[kMaxLanes];
+                  for (std::size_t l = 0; l < lanes; ++l) {
+                    m0[l] = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
+                  }
+                  batch.run_until_switch(lanes, m0, rngs, duration, config.dt,
+                                         result, 0.0, tilt);
+                  for (std::size_t l = 0; l < lanes; ++l) {
+                    fold(result[l], *ws[l]);
+                  }
+                });
+          });
     } else {
       est = disturb_splitting(config, runner, llg, delta, mz0, duration,
                               seed);
@@ -496,46 +444,26 @@ ReadDisturbResult measure_read_disturb(const ReadDisturbConfig& config,
     return result;
   }
 
-  // Identical trial bodies: thermal tilt (two uniforms) then the stochastic
-  // Heun integration. The batched kernel's per-lane arithmetic is the same
-  // inline stochastic_heun_step the scalar MacrospinSim executes, so the
-  // two paths are bitwise identical for the same (seed, trials).
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? runner.run_batched<DisturbPartial>(
-                config.trials, seed, config.batch_lanes,
-                [&] { return dyn::BatchMacrospinSim(llg); },
-                [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs,
-                    std::size_t, std::size_t lanes,
-                    DisturbPartial* const* acc) {
-                  num::Vec3 m0[kMaxLanes];
-                  dyn::SwitchResult result[kMaxLanes];
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    m0[l] = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
-                  }
-                  batch.run_until_switch(lanes, m0, rngs, duration, config.dt,
-                                         result);
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    if (result[l].switched) {
-                      ++acc[l]->disturbed;
-                      acc[l]->times.add(result[l].time);
-                    }
-                  }
-                })
-          : runner.run<DisturbPartial>(
-                config.trials, seed,
-                [&] { return dyn::MacrospinSim(llg); },
-                [&](dyn::MacrospinSim& sim, util::Rng& trial_rng, std::size_t,
-                    DisturbPartial& acc) {
-                  const num::Vec3 m0 =
-                      dyn::thermal_initial_tilt(trial_rng, delta, mz0);
-                  const auto result =
-                      sim.run_until_switch(m0, duration, config.dt, trial_rng);
-                  if (result.switched) {
-                    ++acc.disturbed;
-                    acc.times.add(result.time);
-                  }
-                });
+  // Each trial: thermal tilt (two uniforms), then the stochastic Heun
+  // integration on the batched kernel, full lane blocks at a time.
+  const auto partial = runner.run_batched<DisturbPartial>(
+      config.trials, seed, kMaxLanes,
+      [&] { return dyn::BatchMacrospinSim(llg); },
+      [&](dyn::BatchMacrospinSim& batch, util::Rng* rngs, std::size_t,
+          std::size_t lanes, DisturbPartial* const* acc) {
+        num::Vec3 m0[kMaxLanes];
+        dyn::SwitchResult result[kMaxLanes];
+        for (std::size_t l = 0; l < lanes; ++l) {
+          m0[l] = dyn::thermal_initial_tilt(rngs[l], delta, mz0);
+        }
+        batch.run_until_switch(lanes, m0, rngs, duration, config.dt, result);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          if (result[l].switched) {
+            ++acc[l]->disturbed;
+            acc[l]->times.add(result[l].time);
+          }
+        }
+      });
 
   ReadDisturbResult result;
   result.trials = config.trials;
@@ -601,43 +529,27 @@ ReadYieldResult read_yield(const ReadYieldConfig& config, util::Rng& rng,
 
   // One sampled device per trial: draw the varied parameters, rebuild its
   // read path (its own resistances, intra field and margins) and check the
-  // specs at the far row. The batched path runs the identical body lane by
-  // lane in trial order, so batch_lanes only changes the scheduling shape,
-  // never a draw or a comparison -- bit-identical to the scalar path.
-  auto sample_one = [&](util::Rng& trial_rng, YieldPartial& acc) {
-    const auto varied = config.variation.sample(config.nominal, trial_rng);
-    const ReadErrorModel model(varied, config.path);
-    const auto op = model.operating_point(far_row, column);
-    const double hz = model.device().intra_stray_field();
-    const double t = config.spec.temperature;
+  // specs at the far row.
+  const auto partial = runner.run<YieldPartial>(
+      config.samples, seed,
+      [&](util::Rng& trial_rng, std::size_t, YieldPartial& acc) {
+        const auto varied = config.variation.sample(config.nominal, trial_rng);
+        const ReadErrorModel model(varied, config.path);
+        const auto op = model.operating_point(far_row, column);
+        const double hz = model.device().intra_stray_field();
+        const double t = config.spec.temperature;
 
-    const bool margin_ok =
-        op.margin >= config.spec.min_margin_sigma *
-                         model.sense_amp().total_sigma();
-    const double p_disturb = model.disturb_probability(
-        MtjState::kAntiParallel, op.i_ap, config.path.t_read, hz, t);
-    const bool disturb_ok = p_disturb <= config.spec.max_disturb;
+        const bool margin_ok =
+            op.margin >= config.spec.min_margin_sigma *
+                             model.sense_amp().total_sigma();
+        const double p_disturb = model.disturb_probability(
+            MtjState::kAntiParallel, op.i_ap, config.path.t_read, hz, t);
+        const bool disturb_ok = p_disturb <= config.spec.max_disturb;
 
-    acc.pass_margin += margin_ok;
-    acc.pass_disturb += disturb_ok;
-    acc.pass_both += margin_ok && disturb_ok;
-  };
-
-  const auto partial =
-      (config.batch_lanes > 0)
-          ? runner.run_batched<YieldPartial>(
-                config.samples, seed, config.batch_lanes,
-                [&](util::Rng* rngs, std::size_t, std::size_t lanes,
-                    YieldPartial* const* acc) {
-                  for (std::size_t l = 0; l < lanes; ++l) {
-                    sample_one(rngs[l], *acc[l]);
-                  }
-                })
-          : runner.run<YieldPartial>(
-                config.samples, seed,
-                [&](util::Rng& trial_rng, std::size_t, YieldPartial& acc) {
-                  sample_one(trial_rng, acc);
-                });
+        acc.pass_margin += margin_ok;
+        acc.pass_disturb += disturb_ok;
+        acc.pass_both += margin_ok && disturb_ok;
+      });
 
   ReadYieldResult result;
   result.sampled = config.samples;

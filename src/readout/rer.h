@@ -10,19 +10,16 @@
 
 // Monte Carlo read-path workloads, mirroring the write side's measure_wer
 // structure: every driver runs on eng::MonteCarloRunner with per-trial
-// counter-based streams (bit-identical across thread counts), exposes an
-// eng::RunnerConfig, and carries a `batch_lanes` knob whose 0 setting
-// selects the scalar reference path -- the batched path folds its lanes in
-// trial order and consumes the identical per-trial draw sequence, so both
-// paths agree bit for bit for the same (seed, trials).
+// counter-based streams (bit-identical across thread counts) and exposes an
+// eng::RunnerConfig.
 //
 //   measure_rer          -- read error rate of one cell: decision errors,
 //                           transient-blocked strobes and analytic-model
 //                           read disturbs, per sampled read.
 //   measure_read_disturb -- stochastic-LLG read disturb: integrates the
 //                           actual read-current torque on the batched
-//                           BatchMacrospinSim kernel (scalar MacrospinSim
-//                           reference at batch_lanes = 0).
+//                           BatchMacrospinSim kernel, full lane blocks of
+//                           eng::MonteCarloRunner::kMaxLaneWidth trials.
 //   read_yield           -- fraction of process-varied devices meeting the
 //                           sense-margin and read-disturb specs at the
 //                           worst-case (far) row.
@@ -42,8 +39,6 @@ struct RerConfig {
   double temperature = 300.0; ///< [K]
   std::size_t trials = 1000;
   eng::RunnerConfig runner;
-  std::size_t batch_lanes = 8;  ///< trials per lane-block; 0 = scalar
-                                ///< reference path (bit-identical results)
   /// Rare-event driver selection. The accelerated paths estimate the read
   /// error probability (wrong decision OR metastable strobe, i.e. the
   /// noise margin landing below the metastable band) over the three
@@ -89,11 +84,6 @@ struct ReadDisturbConfig {
   double dt = 1e-12;      ///< LLG step [s]
   std::size_t trials = 256;
   eng::RunnerConfig runner;
-  std::size_t batch_lanes = eng::MonteCarloRunner::kMaxLaneWidth;
-                          ///< trials per BatchMacrospinSim call (at most
-                          ///< 64; the kernel keeps its SIMD slots full by
-                          ///< refilling them); 0 = scalar MacrospinSim
-                          ///< reference path
   /// Rare-event driver selection on the stochastic-LLG trajectories.
   /// Importance sampling applies a constant mean shift to the thermal
   /// field along the switching direction (exact pathwise likelihood
@@ -102,8 +92,7 @@ struct ReadDisturbConfig {
   /// diffusive regime). Splitting stages the trajectories through
   /// descending |mz| levels, restarting survivors from their crossing
   /// states -- the driver of choice for very deep disturb rates. Both
-  /// run scalar or batched (batch_lanes) and stay bit-identical across
-  /// --threads.
+  /// stay bit-identical across --threads.
   eng::RareEventConfig rare;
 };
 
@@ -153,7 +142,6 @@ struct ReadYieldConfig {
   arr::PatternKind column_pattern = arr::PatternKind::kAllZero;
   std::size_t samples = 600;
   eng::RunnerConfig runner;
-  std::size_t batch_lanes = 8;  ///< 0 = scalar reference path
 };
 
 /// Monte Carlo read yield: draws devices from the process-variation

@@ -185,10 +185,10 @@ int run_scenarios(const ScenarioRegistry& registry,
       obs::TraceSpan scenario_span("scenario", [&] { return name; });
       const eng::ShardIo io = shard_io_for(opt, name);
       runner.set_shard_io(io);
-      ScenarioContext ctx{.runner = runner};
-      ctx.seed = opt.seed;
-      ctx.data_dir = opt.data_dir;
-      ctx.trial_scale = opt.trial_scale;
+      ScenarioContext ctx{.runner = runner,
+                          .seed = opt.seed,
+                          .data_dir = opt.data_dir,
+                          .trial_scale = opt.trial_scale};
       const ResultSet results = scenario.run(ctx);
       if (io.mode == eng::ShardMode::kMerge) {
         // A shard that executed more runner calls than this replay consumed

@@ -8,7 +8,8 @@
 
 // Device-ensemble measurement: the synthetic counterpart of the paper's
 // wafer-level characterization (many devices per size, each measured once).
-// Used by bench_fig2b to produce the "measured (+/- sigma)" series.
+// Used by scenario fig2b_intra_vs_ecd to produce the "measured
+// (+/- sigma)" series.
 
 namespace mram::sim {
 
@@ -29,8 +30,8 @@ struct EnsembleConfig {
 /// For each nominal eCD, samples `devices_per_size` varied devices and
 /// records their model-truth intra-cell stray field and electrically
 /// recovered eCD. (The full measurement emulation -- R-H loop + extraction
-/// -- lives in bench_fig2b; this helper provides the fast model-truth path
-/// used by tests.)
+/// -- lives in scenario fig2b_intra_vs_ecd; this helper provides the fast
+/// model-truth path used by tests.)
 std::vector<EnsembleSummary> characterize_sizes(
     const dev::MtjParams& nominal, const std::vector<double>& ecds,
     const EnsembleConfig& config);

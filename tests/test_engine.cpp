@@ -17,12 +17,14 @@
 #include <vector>
 
 #include "array/array_field.h"
+#include "array/data_pattern.h"
 #include "device/mtj_device.h"
 #include "dynamics/llg.h"
 #include "dynamics/switching_sim.h"
 #include "engine/monte_carlo.h"
 #include "engine/thread_pool.h"
 #include "magnetics/disk_source.h"
+#include "mram/mram_array.h"
 #include "mram/retention.h"
 #include "mram/wer.h"
 #include "numerics/solvers.h"
@@ -552,35 +554,101 @@ TEST(MonteCarloRunner, SeededWerBitIdenticalSerialVsFourThreads) {
   EXPECT_EQ(parallel.confidence.hi, serial.confidence.hi);
 }
 
-TEST(MonteCarloRunner, BatchedWerBitIdenticalToScalarPath) {
-  // Acceptance check of the batched migration: the batched WER path (the
-  // default, batch_lanes = 8) must produce bit-identical error counts and
-  // statistics to the scalar reference (batch_lanes = 0), at 1 and 4
-  // threads, including the 700 % 8 != 0 remainder block.
-  auto scalar_cfg = engine_wer_config();
-  scalar_cfg.batch_lanes = 0;
-  scalar_cfg.runner.threads = 1;
+/// Scalar reference for measure_wer's brute-force path, built from public
+/// API only: the same setup draws, then the full load/write pipeline per
+/// trial instead of the hoisted success probability.
+struct WerOracle {
+  std::size_t errors = 0;
+  util::RunningStats psucc;
+
+  void merge(const WerOracle& o) {
+    errors += o.errors;
+    psucc.merge(o.psucc);
+  }
+};
+
+WerOracle scalar_wer(const mem::WerConfig& cfg, util::Rng& rng) {
+  const mem::MramArray prototype(cfg.array);
+  const std::size_t vr = prototype.rows() / 2;
+  const std::size_t vc = prototype.cols() / 2;
+  const int target_bit = dev::state_to_bit(dev::final_state(cfg.direction));
+  auto background = arr::make_pattern(cfg.background, prototype.rows(),
+                                      prototype.cols(), rng);
+  background.set(vr, vc, dev::state_to_bit(dev::initial_state(cfg.direction)));
+  const std::uint64_t seed = rng();
+  eng::MonteCarloRunner runner(eng::RunnerConfig{1, cfg.runner.chunk_size});
+  return runner.run<WerOracle>(
+      cfg.trials, seed, [&] { return mem::MramArray(prototype); },
+      [&](mem::MramArray& array, util::Rng& trial_rng, std::size_t,
+          WerOracle& acc) {
+        array.load(background);
+        const auto wr = array.write(vr, vc, target_bit, cfg.pulse, trial_rng);
+        EXPECT_TRUE(wr.attempted);
+        acc.psucc.add(wr.success_probability);
+        if (!wr.success) ++acc.errors;
+      });
+}
+
+TEST(MonteCarloRunner, WerBitIdenticalToScalarOracle) {
+  // measure_wer hoists the success probability out of the trial loop; its
+  // error counts and statistics must still equal the full per-trial
+  // load/write pipeline bit for bit, at 1 and 4 threads, including the
+  // 700-trial remainder chunk.
+  auto cfg = engine_wer_config();
   util::Rng rng_scalar(2024);
-  const auto scalar = mem::measure_wer(scalar_cfg, rng_scalar);
+  const auto oracle = scalar_wer(cfg, rng_scalar);
+  const auto confidence = util::wilson_interval(oracle.errors, cfg.trials);
 
   for (unsigned threads : {1u, 4u}) {
-    auto cfg = engine_wer_config();
-    cfg.batch_lanes = 8;
     cfg.runner.threads = threads;
     util::Rng rng(2024);
-    const auto batched = mem::measure_wer(cfg, rng);
-    EXPECT_EQ(batched.errors, scalar.errors) << threads << " threads";
-    EXPECT_EQ(batched.wer, scalar.wer);
-    EXPECT_EQ(batched.mean_success_probability,
-              scalar.mean_success_probability);
-    EXPECT_EQ(batched.confidence.lo, scalar.confidence.lo);
-    EXPECT_EQ(batched.confidence.hi, scalar.confidence.hi);
+    const auto wer = mem::measure_wer(cfg, rng);
+    EXPECT_EQ(wer.errors, oracle.errors) << threads << " threads";
+    EXPECT_EQ(wer.wer, static_cast<double>(oracle.errors) /
+                           static_cast<double>(cfg.trials));
+    EXPECT_EQ(wer.mean_success_probability, oracle.psucc.mean());
+    EXPECT_EQ(wer.confidence.lo, confidence.lo);
+    EXPECT_EQ(wer.confidence.hi, confidence.hi);
   }
 }
 
-TEST(RetentionEnsemble, BatchedBitIdenticalToScalarPath) {
-  // The batched retention path hoists the flip-probability table per chunk;
-  // draws and counts must still match the scalar reference exactly.
+/// Scalar reference for measure_retention_faults' brute-force path: the
+/// full MramArray::retention_hold per trial instead of the hoisted
+/// flip-probability table.
+struct RetentionOracle {
+  std::size_t faulty = 0;
+  std::size_t flips = 0;
+  util::RunningStats per_hold;
+
+  void merge(const RetentionOracle& o) {
+    faulty += o.faulty;
+    flips += o.flips;
+    per_hold.merge(o.per_hold);
+  }
+};
+
+RetentionOracle scalar_retention(const mem::RetentionEnsembleConfig& cfg,
+                                 util::Rng& rng) {
+  const mem::MramArray prototype(cfg.array);
+  const auto pattern =
+      arr::make_pattern(cfg.pattern, cfg.array.rows, cfg.array.cols, rng);
+  const std::uint64_t seed = rng();
+  eng::MonteCarloRunner runner(eng::RunnerConfig{1, cfg.runner.chunk_size});
+  return runner.run<RetentionOracle>(
+      cfg.trials, seed, [&] { return mem::MramArray(prototype); },
+      [&](mem::MramArray& array, util::Rng& trial_rng, std::size_t,
+          RetentionOracle& acc) {
+        array.load(pattern);
+        const std::size_t flips = array.retention_hold(cfg.hold, trial_rng);
+        acc.faulty += (flips > 0);
+        acc.flips += flips;
+        acc.per_hold.add(static_cast<double>(flips));
+      });
+}
+
+TEST(RetentionEnsemble, BitIdenticalToScalarOracle) {
+  // measure_retention_faults hoists the flip-probability table once per
+  // call; draws and counts must still match retention_hold exactly.
   mem::RetentionEnsembleConfig cfg;
   cfg.array.device = dev::MtjParams::reference_device(35e-9);
   cfg.array.device.delta0 = 8.0;
@@ -590,21 +658,17 @@ TEST(RetentionEnsemble, BatchedBitIdenticalToScalarPath) {
   cfg.hold = 1.0;
   cfg.trials = 150;
 
-  cfg.batch_lanes = 0;
-  cfg.runner.threads = 1;
   util::Rng rng_scalar(5);
-  const auto scalar = mem::measure_retention_faults(cfg, rng_scalar);
-  EXPECT_GT(scalar.faulty_trials, 0u);
+  const auto oracle = scalar_retention(cfg, rng_scalar);
+  EXPECT_GT(oracle.faulty, 0u);
 
   for (unsigned threads : {1u, 4u}) {
-    cfg.batch_lanes = 8;
     cfg.runner.threads = threads;
     util::Rng rng(5);
-    const auto batched = mem::measure_retention_faults(cfg, rng);
-    EXPECT_EQ(batched.faulty_trials, scalar.faulty_trials)
-        << threads << " threads";
-    EXPECT_EQ(batched.total_flips, scalar.total_flips);
-    EXPECT_EQ(batched.mean_flips, scalar.mean_flips);
+    const auto result = mem::measure_retention_faults(cfg, rng);
+    EXPECT_EQ(result.faulty_trials, oracle.faulty) << threads << " threads";
+    EXPECT_EQ(result.total_flips, oracle.flips);
+    EXPECT_EQ(result.mean_flips, oracle.per_hold.mean());
   }
 }
 

@@ -8,8 +8,8 @@
 #include "numerics/cel.h"
 #include "numerics/elliptic.h"
 #include "numerics/interp.h"
-#include "numerics/ode.h"
 #include "numerics/optimize.h"
+#include "numerics/solvers.h"
 #include "numerics/vec3.h"
 #include "util/constants.h"
 #include "util/error.h"
@@ -200,7 +200,8 @@ TEST(LevenbergMarquardt, RequiresEnoughResiduals) {
 TEST(Ode, Rk4ExponentialDecay) {
   // dm/dt = -m (componentwise): m(t) = m0 exp(-t).
   auto f = [](double, const Vec3& m) { return -m; };
-  const Vec3 m1 = integrate_rk4(f, {1.0, 2.0, -1.0}, 0.0, 1.0, 1e-3);
+  const Vec3 m1 =
+      integrate_fixed<Rk4Solver>(f, {1.0, 2.0, -1.0}, 0.0, 1.0, 1e-3);
   const double e = std::exp(-1.0);
   EXPECT_NEAR(m1.x, e, 1e-9);
   EXPECT_NEAR(m1.y, 2.0 * e, 1e-9);
@@ -211,7 +212,7 @@ TEST(Ode, Rk4FourthOrderConvergence) {
   auto f = [](double, const Vec3& m) { return -m; };
   const Vec3 m0{1.0, 0.0, 0.0};
   auto error_for = [&](double dt) {
-    const Vec3 m = integrate_rk4(f, m0, 0.0, 1.0, dt);
+    const Vec3 m = integrate_fixed<Rk4Solver>(f, m0, 0.0, 1.0, dt);
     return std::abs(m.x - std::exp(-1.0));
   };
   const double e1 = error_for(0.1);
@@ -225,7 +226,7 @@ TEST(Ode, HeunSecondOrder) {
   auto f = [](double, const Vec3& m) { return -m; };
   Vec3 m{1.0, 0.0, 0.0};
   const double dt = 1e-3;
-  for (int i = 0; i < 1000; ++i) m = heun_step(f, i * dt, m, dt);
+  for (int i = 0; i < 1000; ++i) m = HeunSolver::step(f, i * dt, m, dt);
   EXPECT_NEAR(m.x, std::exp(-1.0), 1e-6);
 }
 
@@ -233,7 +234,8 @@ TEST(Ode, RotationPreservesNorm) {
   // dm/dt = omega x m: pure rotation about z.
   const Vec3 omega{0.0, 0.0, 2.0 * kPi};
   auto f = [&](double, const Vec3& m) { return cross(omega, m); };
-  const Vec3 m1 = integrate_rk4(f, {1.0, 0.0, 0.0}, 0.0, 1.0, 1e-4);
+  const Vec3 m1 =
+      integrate_fixed<Rk4Solver>(f, {1.0, 0.0, 0.0}, 0.0, 1.0, 1e-4);
   // One full period returns the vector to its start.
   EXPECT_NEAR(m1.x, 1.0, 1e-6);
   EXPECT_NEAR(m1.y, 0.0, 1e-6);
@@ -243,15 +245,17 @@ TEST(Ode, RotationPreservesNorm) {
 TEST(Ode, ObserverSeesAllSteps) {
   auto f = [](double, const Vec3& m) { return -m; };
   int calls = 0;
-  integrate_rk4(f, {1, 0, 0}, 0.0, 1.0, 0.1,
+  integrate_fixed<Rk4Solver>(f, {1, 0, 0}, 0.0, 1.0, 0.1,
                 [&](double, const Vec3&) { ++calls; });
   EXPECT_EQ(calls, 10);
 }
 
 TEST(Ode, InvalidArgumentsThrow) {
   auto f = [](double, const Vec3& m) { return -m; };
-  EXPECT_THROW(integrate_rk4(f, {1, 0, 0}, 0.0, 1.0, 0.0), ContractViolation);
-  EXPECT_THROW(integrate_rk4(f, {1, 0, 0}, 1.0, 0.0, 0.1), ContractViolation);
+  EXPECT_THROW(integrate_fixed<Rk4Solver>(f, {1, 0, 0}, 0.0, 1.0, 0.0),
+               ContractViolation);
+  EXPECT_THROW(integrate_fixed<Rk4Solver>(f, {1, 0, 0}, 1.0, 0.0, 0.1),
+               ContractViolation);
 }
 
 // --- interpolation / roots --------------------------------------------------

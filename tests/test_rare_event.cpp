@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "device/mtj_device.h"
+#include "disturb_oracle.h"
 #include "dynamics/llg.h"
 #include "dynamics/llg_batch.h"
 #include "dynamics/switching_sim.h"
@@ -288,15 +289,18 @@ TEST(RareEvent, ImportanceRoundsEstimatesATiltedGaussianTail) {
   cfg.method = eng::RareEventMethod::kImportanceSampling;
   const double tilt[1] = {beta};
   const auto est = eng::importance_rounds(
-      runner, 2000, 11, cfg,
-      [&](util::Rng& rng, std::size_t, util::WeightedStats& ws) {
-        double z[1];
-        rng.normal_fill_tilted(z, 1, tilt, 1);
-        if (z[0] > beta) {
-          ws.add(1.0, std::exp(0.5 * beta * beta - beta * z[0]));
-        } else {
-          ws.add(0.0, 0.0);
-        }
+      runner, 2000, 11, cfg, [&](std::uint64_t round_seed) {
+        return runner.run<util::WeightedStats>(
+            2000, round_seed,
+            [&](util::Rng& rng, std::size_t, util::WeightedStats& ws) {
+              double z[1];
+              rng.normal_fill_tilted(z, 1, tilt, 1);
+              if (z[0] > beta) {
+                ws.add(1.0, std::exp(0.5 * beta * beta - beta * z[0]));
+              } else {
+                ws.add(0.0, 0.0);
+              }
+            });
       });
   EXPECT_LE(est.rel_error, cfg.target_rel_error);
   EXPECT_NEAR(est.probability, p_true, 3.0 * est.rel_error * p_true);
@@ -333,15 +337,18 @@ TEST(RareEvent, DriversAreBitIdenticalAcrossThreadCounts) {
     eng::RareEventConfig cfg;
     const double tilt[1] = {beta};
     const auto is = eng::importance_rounds(
-        runner, 500, 21, cfg,
-        [&](util::Rng& rng, std::size_t, util::WeightedStats& ws) {
-          double z[1];
-          rng.normal_fill_tilted(z, 1, tilt, 1);
-          if (z[0] > beta) {
-            ws.add(1.0, std::exp(0.5 * beta * beta - beta * z[0]));
-          } else {
-            ws.add(0.0, 0.0);
-          }
+        runner, 500, 21, cfg, [&](std::uint64_t round_seed) {
+          return runner.run<util::WeightedStats>(
+              500, round_seed,
+              [&](util::Rng& rng, std::size_t, util::WeightedStats& ws) {
+                double z[1];
+                rng.normal_fill_tilted(z, 1, tilt, 1);
+                if (z[0] > beta) {
+                  ws.add(1.0, std::exp(0.5 * beta * beta - beta * z[0]));
+                } else {
+                  ws.add(0.0, 0.0);
+                }
+              });
         });
     const auto split = eng::subset_simulation(
         runner, 2, 400, 22, cfg,
@@ -593,7 +600,7 @@ TEST(RareEventDeterminism, ReadDisturbDriversAreThreadCountInvariant) {
   }
 }
 
-TEST(RareEventDeterminism, ReadDisturbImportanceBatchedMatchesScalar) {
+TEST(RareEventDeterminism, ReadDisturbImportanceMatchesScalarOracle) {
   // The tilted SoA kernel against the tilted scalar loop, end to end
   // through the importance-sampling driver: identical weights, identical
   // estimate.
@@ -601,36 +608,55 @@ TEST(RareEventDeterminism, ReadDisturbImportanceBatchedMatchesScalar) {
   cfg.rare.method = eng::RareEventMethod::kImportanceSampling;
   eng::MonteCarloRunner runner;
 
-  cfg.batch_lanes = 0;
   util::Rng rng_s(55);
-  const auto scalar = rdo::measure_read_disturb(cfg, rng_s, runner);
-  for (std::size_t lanes : {std::size_t{3}, std::size_t{8}}) {
-    cfg.batch_lanes = lanes;
-    util::Rng rng_b(55);
-    const auto batched = rdo::measure_read_disturb(cfg, rng_b, runner);
-    EXPECT_EQ(batched.rate, scalar.rate) << "lanes " << lanes;
-    EXPECT_EQ(batched.rare.rel_error, scalar.rare.rel_error)
-        << "lanes " << lanes;
-  }
+  const auto oracle = oracle::disturb_importance(cfg, rng_s, runner);
+  util::Rng rng_b(55);
+  const auto batched = rdo::measure_read_disturb(cfg, rng_b, runner);
+  EXPECT_EQ(batched.rate, oracle.probability);
+  EXPECT_EQ(batched.rare.rel_error, oracle.rel_error);
   // The tilt makes disturbs common enough to estimate from 48-trial rounds.
-  EXPECT_GT(scalar.rare.ess, 0.0);
+  EXPECT_GT(oracle.ess, 0.0);
 }
 
-TEST(RareEventDeterminism, ReadDisturbSplittingBatchedMatchesScalar) {
+TEST(RareEventDeterminism, ReadDisturbSplittingMatchesScalarOracle) {
   auto cfg = fast_disturb_config();
   cfg.rare.method = eng::RareEventMethod::kSplitting;
   eng::MonteCarloRunner runner;
 
-  cfg.batch_lanes = 0;
   util::Rng rng_s(56);
-  const auto scalar = rdo::measure_read_disturb(cfg, rng_s, runner);
-  cfg.batch_lanes = 8;
+  const auto oracle = oracle::disturb_splitting(cfg, rng_s, runner);
   util::Rng rng_b(56);
   const auto batched = rdo::measure_read_disturb(cfg, rng_b, runner);
-  EXPECT_EQ(batched.rate, scalar.rate);
-  EXPECT_EQ(batched.rare.level_probabilities,
-            scalar.rare.level_probabilities);
-  EXPECT_FALSE(scalar.rare.level_probabilities.empty());
+  EXPECT_EQ(batched.rate, oracle.probability);
+  EXPECT_EQ(batched.rare.level_probabilities, oracle.level_probabilities);
+  EXPECT_FALSE(oracle.level_probabilities.empty());
+}
+
+TEST(RareEventDeterminism, AdaptiveDriversRefuseShardMode) {
+  // Round and level counts follow merged results that one shard never
+  // sees, so every adaptive driver must stop with a typed error in shard
+  // mode, before it runs (and dumps) a single trial.
+  eng::MonteCarloRunner runner;
+  eng::ShardIo io;
+  io.mode = eng::ShardMode::kShard;
+  io.shard = eng::ShardSpec{0, 4};
+  io.dir = "unused";
+  runner.set_shard_io(io);
+  const eng::RareEventConfig cfg;
+  EXPECT_THROW(eng::importance_rounds(runner, 16, 1, cfg,
+                                      [](std::uint64_t) {
+                                        return util::WeightedStats{};
+                                      }),
+               util::ConfigError);
+  EXPECT_THROW(eng::subset_simulation(runner, 1, 16, 1, cfg,
+                                      [](const double* z) { return z[0]; }),
+               util::ConfigError);
+  auto disturb = fast_disturb_config();
+  disturb.rare.method = eng::RareEventMethod::kSplitting;
+  util::Rng rng(57);
+  EXPECT_THROW(rdo::measure_read_disturb(disturb, rng, runner),
+               util::ConfigError);
+  EXPECT_EQ(runner.shard_calls(), 0u);
 }
 
 }  // namespace

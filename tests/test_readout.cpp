@@ -1,7 +1,7 @@
 // Tests for src/readout: the bitline IR-drop ladder (Thevenin reduction
 // against closed-form limits), sense-amplifier statistics (sampled outcomes
 // vs the analytic probabilities), the composed read-error model, the Monte
-// Carlo drivers' batched-vs-scalar and cross-thread bit identity, the
+// Carlo drivers' bit identity against scalar oracles and across threads, the
 // analytic read-disturb model validated against the stochastic-LLG
 // ensemble, and the march read-path integration.
 
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <vector>
 
+#include "disturb_oracle.h"
 #include "mram/march.h"
 #include "mram/mram_array.h"
 #include "readout/bitline.h"
@@ -18,6 +19,7 @@
 #include "readout/rer.h"
 #include "readout/sense_amp.h"
 #include "util/error.h"
+#include "util/stats.h"
 
 namespace mram::rdo {
 namespace {
@@ -236,20 +238,55 @@ RerConfig rer_config() {
   return cfg;
 }
 
-TEST(MeasureRer, BatchedMatchesScalarBitwise) {
+/// Scalar reference for measure_rer's brute-force path, built from public
+/// API only: the same setup draws, then the operating point re-derived per
+/// trial instead of hoisted once per call.
+struct RerOracle {
+  std::size_t decision_errors = 0;
+  std::size_t blocked = 0;
+  std::size_t disturbs = 0;
+  util::RunningStats margin;
+
+  void merge(const RerOracle& o) {
+    decision_errors += o.decision_errors;
+    blocked += o.blocked;
+    disturbs += o.disturbs;
+    margin.merge(o.margin);
+  }
+};
+
+RerOracle scalar_rer(const RerConfig& cfg, util::Rng& rng) {
+  const std::size_t row = resolve_row(cfg.row, cfg.path.bitline);
+  const ReadErrorModel model(cfg.device, cfg.path);
+  const auto column =
+      make_column_data(cfg.column_pattern, cfg.path.bitline.rows, rng);
+  const std::uint64_t seed = rng();
+  eng::MonteCarloRunner runner(eng::RunnerConfig{1, cfg.runner.chunk_size});
+  return runner.run<RerOracle>(
+      cfg.trials, seed,
+      [&](util::Rng& trial_rng, std::size_t, RerOracle& acc) {
+        const auto op = model.operating_point(row, column);
+        const auto read = model.sample_read(op, cfg.stored, cfg.hz_stray,
+                                            cfg.temperature, trial_rng);
+        acc.decision_errors += read.decision_error;
+        acc.blocked += read.blocked;
+        acc.disturbs += read.disturbed;
+        acc.margin.add(read.margin);
+      });
+}
+
+TEST(MeasureRer, MatchesScalarOracleBitwise) {
   auto cfg = rer_config();
-  cfg.batch_lanes = 8;
   util::Rng rng_a(11);
-  const auto batched = measure_rer(cfg, rng_a);
-  cfg.batch_lanes = 0;
+  const auto result = measure_rer(cfg, rng_a);
   util::Rng rng_b(11);
-  const auto scalar = measure_rer(cfg, rng_b);
-  EXPECT_EQ(batched.decision_errors, scalar.decision_errors);
-  EXPECT_EQ(batched.blocked, scalar.blocked);
-  EXPECT_EQ(batched.disturbs, scalar.disturbs);
+  const auto oracle = scalar_rer(cfg, rng_b);
+  EXPECT_EQ(result.decision_errors, oracle.decision_errors);
+  EXPECT_EQ(result.blocked, oracle.blocked);
+  EXPECT_EQ(result.disturbs, oracle.disturbs);
   // Bitwise: the accumulation order is identical, not just the counts.
-  EXPECT_EQ(batched.mean_margin, scalar.mean_margin);
-  EXPECT_GT(batched.read_errors, 0u);
+  EXPECT_EQ(result.mean_margin, oracle.margin.mean());
+  EXPECT_GT(result.read_errors, 0u);
 }
 
 TEST(MeasureRer, BitIdenticalAcrossThreadCounts) {
@@ -289,24 +326,26 @@ ReadDisturbConfig disturb_config() {
   return cfg;
 }
 
-TEST(MeasureReadDisturb, BatchedMatchesScalarBitwise) {
-  // Odd trial count: remainder lane-blocks included. The batched kernel
-  // shares the scalar path's stochastic Heun step, so switch decisions AND
-  // switch times must agree bitwise, at any lane width.
+TEST(MeasureReadDisturb, MatchesScalarOracleBitwise) {
+  // Odd trial count: a partial lane block included. The batched kernel
+  // shares MacrospinSim's stochastic Heun step, so switch decisions AND
+  // switch times must agree bitwise.
   auto cfg = disturb_config();
   cfg.trials = 37;
-  cfg.batch_lanes = 0;
+  eng::MonteCarloRunner runner(eng::RunnerConfig{1, cfg.runner.chunk_size});
   util::Rng rng_s(21);
-  const auto scalar = measure_read_disturb(cfg, rng_s);
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{8}}) {
-    cfg.batch_lanes = lanes;
+  const auto oracle = oracle::disturb_brute(cfg, rng_s, runner);
+  ASSERT_GT(oracle.disturbed, 0u);
+  for (unsigned threads : {1u, 4u}) {
+    cfg.runner.threads = threads;
     util::Rng rng_b(21);
-    const auto batched = measure_read_disturb(cfg, rng_b);
-    EXPECT_EQ(batched.disturbed, scalar.disturbed) << lanes;
-    EXPECT_EQ(batched.mean_switch_time, scalar.mean_switch_time) << lanes;
-    EXPECT_EQ(batched.rate, scalar.rate) << lanes;
+    const auto result = measure_read_disturb(cfg, rng_b);
+    EXPECT_EQ(result.disturbed, oracle.disturbed) << threads;
+    EXPECT_EQ(result.mean_switch_time, oracle.times.mean()) << threads;
+    EXPECT_EQ(result.rate, static_cast<double>(oracle.disturbed) /
+                               static_cast<double>(cfg.trials))
+        << threads;
   }
-  EXPECT_GT(scalar.disturbed, 0u);
 }
 
 TEST(MeasureReadDisturb, BitIdenticalAcrossThreadCounts) {
@@ -373,8 +412,7 @@ TEST(ReadYield, DeterministicAndSpecMonotone) {
   cfg.spec.min_margin_sigma = 7.0;
   util::Rng rng_a(31);
   const auto a = read_yield(cfg, rng_a);
-  // Scalar reference and 4-thread runs reproduce it exactly.
-  cfg.batch_lanes = 0;
+  // A 4-thread run reproduces it exactly.
   cfg.runner.threads = 4;
   util::Rng rng_b(31);
   const auto b = read_yield(cfg, rng_b);

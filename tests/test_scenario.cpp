@@ -283,9 +283,12 @@ std::string run_to_csv(const std::string& name, unsigned threads,
 TEST(ScenarioDeterminism, SeededRunsAreBitIdenticalAcrossThreadCounts) {
   // The acceptance contract: a seeded scenario emits byte-identical CSV on
   // 1 thread and on 4. Covers the heaviest runner users, including the
-  // batched stochastic-LLG read-disturb path.
-  for (const char* name : {"wer_pulse_width", "fig2b_intra_vs_ecd",
-                           "rer_vs_read_voltage", "read_disturb_vs_pulse"}) {
+  // batched stochastic-LLG read-disturb path, the brute-force WER,
+  // retention and RER drivers, and the array yield sweep.
+  for (const char* name :
+       {"wer_pulse_width", "fig2b_intra_vs_ecd", "rer_vs_read_voltage",
+        "read_disturb_vs_pulse", "retention_faults", "rer_vs_tmr",
+        "yield_vs_pitch"}) {
     const std::string serial = run_to_csv(name, 1, 31337);
     const std::string parallel = run_to_csv(name, 4, 31337);
     EXPECT_EQ(serial, parallel) << name;

@@ -186,6 +186,28 @@ TEST(ShardRun, MergeDetectsSurplusShardCalls) {
   fs::remove_all(dir);
 }
 
+TEST(ShardRun, AdaptiveRareEventDriversFailWithATypedError) {
+  // Importance-sampling rounds and splitting levels choose their next
+  // runner call from merged results that a shard never sees. A shard of
+  // such a scenario must end in a FAIL row naming the reason -- not in a
+  // crash, and not in dumps that mram_merge would refuse.
+  const fs::path dir = make_temp_dir("adaptive");
+  for (const std::string name : {"retention_deep", "wer_deep"}) {
+    auto opt = base_options({name}, 1);
+    opt.shard = eng::ShardSpec{0, 4};
+    opt.partials_dir = dir.string();
+    opt.trial_scale = 0.05;
+    std::ostringstream out, err;
+    EXPECT_EQ(run_scenarios(ScenarioRegistry::global(), opt, out, err), 1);
+    const std::string log = err.str();
+    EXPECT_NE(log.find("FAIL " + name + ": importance sampling cannot run "
+                       "in shard mode"),
+              std::string::npos)
+        << log;
+  }
+  fs::remove_all(dir);
+}
+
 TEST(CheckpointRun, KilledScenarioResumesByteIdentically) {
   const auto registry = mc_registry();
   const std::vector<std::string> names{"mc_pair"};
