@@ -261,9 +261,10 @@ void BatchMacrospinSim::run_until_switch(std::size_t n, const Vec3* m0,
   // (the tilt is the mean shift normal_fill_tilted adds after the draw).
   const auto draw_field = [&](std::size_t a0, std::size_t a1,
                               std::size_t row0) {
-    util::Rng::normal_fill_lanes(slot_rng + a0, a1 - a0,
-                                 field + row0 * W + a0, W,
-                                 kNoiseRows - row0);
+    obs::counter_add(obs::Counter::kLlgNoiseScalarFallbacks,
+                     util::Rng::normal_fill_lanes(slot_rng + a0, a1 - a0,
+                                                  field + row0 * W + a0, W,
+                                                  kNoiseRows - row0));
     for (std::size_t row = row0; row < kNoiseRows; ++row) {
       const std::size_t c = row % 3;
       double* f = field + row * W;

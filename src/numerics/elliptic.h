@@ -26,4 +26,15 @@ double ellint_k(double m);
 /// Complete elliptic integral of the second kind, E(m), m = k^2 in [0, 1].
 double ellint_e(double m);
 
+/// K(m) and E(m) of one parameter.
+struct EllintKE {
+  double k;
+  double e;
+};
+
+/// Both complete integrals from one shared R_F evaluation (the two
+/// separate calls evaluate it twice), bit-equal to
+/// {ellint_k(m), ellint_e(m)}. m = k^2 in [0, 1).
+EllintKE ellint_ke(double m);
+
 }  // namespace mram::num

@@ -26,6 +26,8 @@ const char* counter_name(Counter c) {
     case Counter::kLlgBlocksW8: return "llg.blocks_w8";
     case Counter::kLlgBlocksW16: return "llg.blocks_w16";
     case Counter::kLlgFlops: return "llg.flops";
+    case Counter::kLlgNoiseScalarFallbacks:
+      return "llg.noise_scalar_fallbacks";
     case Counter::kRareIsRounds: return "rare.is.rounds";
     case Counter::kRareSplitLevels: return "rare.split.levels";
     case Counter::kRareMcmcProposals: return "rare.mcmc.proposals";

@@ -14,6 +14,17 @@
 
 namespace mram::util {
 
+class Rng;
+
+namespace detail {
+
+// The lane kernels behind Rng::normal_fill_lanes (util/zig_lanes.h).
+enum class ZigIsa : int;
+std::size_t zig_fill_lanes(ZigIsa isa, Rng* rngs, std::size_t lanes,
+                           double* out, std::size_t ld, std::size_t n);
+
+}  // namespace detail
+
 /// xoshiro256++ engine. Satisfies std::uniform_random_bit_generator, so it can
 /// be used with <random> distributions, though the member helpers below are
 /// preferred for reproducibility.
@@ -71,17 +82,23 @@ class Rng {
   /// rngs[l].normal_fill(n) at out[k * ld + l] for k in [0, n), and each
   /// engine ends in the state that fill would leave. The xoshiro256++
   /// states advance in vector registers (Blackman & Vigna run such streams
-  /// side by side) and the ziggurat strip lookup and compare are
-  /// vectorized, one output row (one value per lane) per step. A row in
-  /// which some lanes' strip tests reject ends the vector loop; those
-  /// lanes complete their draws with the scalar zig_fallback, on their own
-  /// streams, before the next row starts, so all lanes share one write
-  /// cursor and every store is a plain masked row store. Dispatched at run
-  /// time (AVX-512F+DQ, AVX2, or a scalar loop); all three write the same
-  /// bits. Engines past `lanes` are never read or advanced.
+  /// side by side), all lanes share one row cursor, and every store is a
+  /// masked row store. The whole ziggurat runs masked in the vector loop:
+  /// the strip test; for its rejections the wedge test, whose uniform is
+  /// the lane's next output, decided on a vector exp (see
+  /// detail::kZigWedgeBand); and the redraw and retest of wedge
+  /// rejections. Only two cases go to scalar code, one lane at a time and
+  /// without leaving the loop: strip-0 tails (zig_fallback, from the
+  /// lane's exact state) and wedge tests too close to the vector exp to
+  /// call (std::exp, as zig_fallback compares). Dispatched at run time
+  /// (AVX-512F+DQ, AVX2, or a scalar loop); all three write the same bits.
+  /// Engines past `lanes` are never read or advanced. Returns how many
+  /// lane draws scalar code finished: those tail and band draws, or every
+  /// draw when the scalar loop ran (no SIMD, or a single lane).
   /// Precondition: ld >= lanes when n > 1.
-  static void normal_fill_lanes(Rng* rngs, std::size_t lanes, double* out,
-                                std::size_t ld, std::size_t n);
+  static std::size_t normal_fill_lanes(Rng* rngs, std::size_t lanes,
+                                       double* out, std::size_t ld,
+                                       std::size_t n);
 
   /// Exponentially tilted normal_fill: out[k] = z_k + tilt[k % period] where
   /// the z_k are *exactly* the deviates normal_fill would have produced --
@@ -120,6 +137,10 @@ class Rng {
   /// Completes one ziggurat draw whose first strip test rejected (wedge,
   /// tail and retry paths; out of line, ~2.5% of draws).
   double zig_fallback(std::uint64_t b);
+
+  friend std::size_t detail::zig_fill_lanes(detail::ZigIsa, Rng*,
+                                            std::size_t, double*,
+                                            std::size_t, std::size_t);
 
   std::uint64_t state_[4];
   bool has_spare_ = false;

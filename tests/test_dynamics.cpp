@@ -11,9 +11,11 @@
 #include "dynamics/llg_batch.h"
 #include "dynamics/switching_sim.h"
 #include "engine/monte_carlo.h"
+#include "obs/metrics.h"
 #include "util/constants.h"
 #include "util/error.h"
 #include "util/units.h"
+#include "util/zig_lanes.h"
 
 namespace mram::dyn {
 namespace {
@@ -247,6 +249,42 @@ TEST(BatchLlg, BitIdenticalAtSixteenLanes) {
                               42);
   // 17 trials: one more than the slots, so a slot is refilled.
   expect_batch_matches_scalar(p, 17, 3e-9, 2e-13, 77);
+}
+
+TEST(BatchLlg, CountsNoiseDrawsFinishedByScalarCode) {
+  // llg.noise_scalar_fallbacks is how a metrics doc shows whether the
+  // vector noise path ran: on a SIMD host only strip-0 tails (~6e-4 of
+  // draws) and rare wedge-band decisions land there; without SIMD, every
+  // draw does.
+  const auto p = thermal_driven_params();
+  constexpr std::size_t kLanes = BatchMacrospinSim::kAvx512Lanes;
+  BatchMacrospinSim batch(p);
+  std::vector<Vec3> m0(kLanes, num::normalized({0.05, 0.0, -1.0}));
+  std::vector<util::Rng> rngs;
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    rngs.push_back(util::Rng::stream(5, l));
+  }
+  std::vector<SwitchResult> got(kLanes);
+  obs::Registry reg;
+  obs::ScopedRegistry guard(&reg);
+  obs::MetricsBlock block;
+  {
+    obs::ChunkScope scope(&block);
+    batch.run_until_switch(kLanes, m0.data(), rngs.data(), 8e-9, 2e-13,
+                           got.data());
+    scope.finish(kLanes);
+  }
+  reg.merge_block(block);
+  const obs::Snapshot snap = reg.snapshot();
+  const std::uint64_t fallbacks =
+      snap.counters.at("llg.noise_scalar_fallbacks");
+  const std::uint64_t draws = 3 * snap.counters.at("llg.lane_steps");
+  EXPECT_GT(fallbacks, 0u);
+  if (util::detail::zig_isa() == util::detail::ZigIsa::kScalar) {
+    EXPECT_GE(fallbacks, draws);
+  } else {
+    EXPECT_LT(fallbacks, draws / 200);
+  }
 }
 
 /// One BatchMacrospinSim call over n trials against n scalar runs on the

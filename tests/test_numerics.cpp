@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "numerics/cel.h"
 #include "numerics/elliptic.h"
@@ -80,6 +81,20 @@ TEST(Elliptic, DomainChecks) {
   EXPECT_THROW(ellint_k(1.0), ContractViolation);
   EXPECT_THROW(ellint_k(-0.1), ContractViolation);
   EXPECT_THROW(ellint_e(1.1), ContractViolation);
+}
+
+TEST(Elliptic, SharedKEMatchesSeparateIntegralsBitwise) {
+  // ellint_ke shares one R_F between K and E; the loop field relies on it
+  // returning exactly what the two separate calls do.
+  std::vector<double> grid{0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12};
+  for (int i = 1; i < 1000; ++i) grid.push_back(i / 1000.0);
+  for (double m : grid) {
+    const EllintKE ke = ellint_ke(m);
+    EXPECT_EQ(ke.k, ellint_k(m)) << "m = " << m;
+    EXPECT_EQ(ke.e, ellint_e(m)) << "m = " << m;
+  }
+  EXPECT_THROW(ellint_ke(1.0), ContractViolation);
+  EXPECT_THROW(ellint_ke(-0.1), ContractViolation);
 }
 
 TEST(Elliptic, LegendreRelation) {

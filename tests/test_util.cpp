@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "util/constants.h"
@@ -14,6 +17,7 @@
 #include "util/stats.h"
 #include "util/table.h"
 #include "util/units.h"
+#include "util/zig_lanes.h"
 
 namespace mram::util {
 namespace {
@@ -240,59 +244,193 @@ std::size_t fill_one_counting_draws(Rng& e, double& v) {
   return 0;
 }
 
+/// The lane kernels this CPU runs, scalar first.
+std::vector<detail::ZigIsa> lane_isas() {
+  std::vector<detail::ZigIsa> isas;
+  for (auto isa : {detail::ZigIsa::kScalar, detail::ZigIsa::kAvx2,
+                   detail::ZigIsa::kAvx512}) {
+    if (isa <= detail::zig_isa()) isas.push_back(isa);
+  }
+  return isas;
+}
+
+constexpr double kZigTailCut = 3.442619855899;
+
+/// How the reference sampler produced each value of a lane: ziggurat
+/// fast path, wedge accepted at once, wedge rejected and retried, tail.
+struct ZigPaths {
+  std::size_t wedge_accepts = 0;
+  std::size_t wedge_retries = 0;
+  std::size_t tails = 0;
+};
+
+/// Checks lane l of a lane fill (out[k * ld + l], k < n, and the engine it
+/// left) against a solo replay of Rng::stream(seed, l), value for value,
+/// and tallies the sampler paths of the reference draws.
+void expect_lane_matches_solo(const std::vector<double>& out, std::size_t ld,
+                              std::size_t n, std::size_t l, std::uint64_t seed,
+                              Rng& engine, ZigPaths& paths) {
+  Rng ref = Rng::stream(seed, l);
+  std::size_t mismatches = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    double v = 0.0;
+    const std::size_t draws = fill_one_counting_draws(ref, v);
+    mismatches += (out[k * ld + l] != v);
+    if (std::abs(v) > kZigTailCut) {
+      ++paths.tails;
+    } else if (draws == 2) {
+      ++paths.wedge_accepts;
+    } else if (draws >= 3) {
+      ++paths.wedge_retries;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "lane " << l;
+  Rng a = engine, b = ref;
+  EXPECT_TRUE(a() == b() && a() == b() && a() == b() && a() == b())
+      << "lane " << l << " ends in another engine state";
+}
+
 TEST(Rng, NormalFillLanesMatchesSoloFillsPerLane) {
   // Lane l of a lane fill must be rngs[l].normal_fill(n) value for value
   // at out[k * ld + l], leave the engine in the solo state, and never read
-  // or advance an engine past `lanes` nor write a column past it. The
-  // reference replays each value through the scalar sampler and counts
-  // its raw draws, so the test also proves it exercised the tail (|z| > r,
-  // strip 0) and wedge (extra draws, |z| <= r) fallbacks.
-  constexpr double kTailCut = 3.442619855899;
+  // or advance an engine past `lanes` nor write a column past it -- on
+  // every kernel this CPU runs. The reference replays each value through
+  // the scalar sampler and counts its raw draws, so the test also proves
+  // it exercised the tail (|z| > r, strip 0), the wedge (2 draws) and the
+  // wedge-reject-and-retry (3 or more draws, |z| <= r) paths.
   constexpr std::size_t kEngines = 16;
   constexpr double kUnwritten = -1234.5;
-  std::size_t tails = 0;
-  std::size_t wedges = 0;
-  for (std::size_t lanes = 1; lanes <= kEngines; ++lanes) {
-    for (std::size_t n : {0u, 1u, 191u, 192u, 1000u}) {
-      SCOPED_TRACE(::testing::Message() << "lanes=" << lanes << " n=" << n);
-      const std::uint64_t seed = 1000 * lanes + n;
-      std::vector<Rng> engines;
-      for (std::size_t l = 0; l < kEngines; ++l) {
-        engines.push_back(Rng::stream(seed, l));
-      }
-      const std::size_t ld = lanes + 2;
-      std::vector<double> out(n * ld, kUnwritten);
-      Rng::normal_fill_lanes(engines.data(), lanes, out.data(), ld, n);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        Rng ref = Rng::stream(seed, l);
-        std::size_t mismatches = 0;
+  for (const detail::ZigIsa isa : lane_isas()) {
+    SCOPED_TRACE(::testing::Message() << "isa=" << static_cast<int>(isa));
+    ZigPaths paths;
+    for (std::size_t lanes = 1; lanes <= kEngines; ++lanes) {
+      for (std::size_t n : {0u, 1u, 191u, 192u, 1000u}) {
+        SCOPED_TRACE(::testing::Message() << "lanes=" << lanes << " n=" << n);
+        const std::uint64_t seed = 1000 * lanes + n;
+        std::vector<Rng> engines;
+        for (std::size_t l = 0; l < kEngines; ++l) {
+          engines.push_back(Rng::stream(seed, l));
+        }
+        const std::size_t ld = lanes + 2;
+        std::vector<double> out(n * ld, kUnwritten);
+        detail::zig_fill_lanes(isa, engines.data(), lanes, out.data(), ld, n);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          expect_lane_matches_solo(out, ld, n, l, seed, engines[l], paths);
+        }
+        for (std::size_t l = lanes; l < kEngines; ++l) {
+          EXPECT_EQ(engines[l](), Rng::stream(seed, l)()) << "padded " << l;
+        }
+        std::size_t stray = 0;
         for (std::size_t k = 0; k < n; ++k) {
-          double v = 0.0;
-          const std::size_t draws = fill_one_counting_draws(ref, v);
-          mismatches += (out[k * ld + l] != v);
-          if (std::abs(v) > kTailCut) {
-            ++tails;
-          } else if (draws >= 2) {
-            ++wedges;
+          for (std::size_t c = lanes; c < ld; ++c) {
+            stray += (out[k * ld + c] != kUnwritten);
           }
         }
-        EXPECT_EQ(mismatches, 0u) << "lane " << l;
-        EXPECT_EQ(engines[l](), ref()) << "lane " << l;
+        EXPECT_EQ(stray, 0u);
       }
-      for (std::size_t l = lanes; l < kEngines; ++l) {
-        EXPECT_EQ(engines[l](), Rng::stream(seed, l)()) << "padded " << l;
-      }
-      std::size_t stray = 0;
-      for (std::size_t k = 0; k < n; ++k) {
-        for (std::size_t c = lanes; c < ld; ++c) {
-          stray += (out[k * ld + c] != kUnwritten);
-        }
-      }
-      EXPECT_EQ(stray, 0u);
+    }
+    EXPECT_GT(paths.tails, 0u);
+    EXPECT_GT(paths.wedge_accepts, 0u);
+
+    // Long streams: 16 lanes x 200k values in one call, so every lane
+    // passes through many in-register wedge decisions, retries and tails.
+    constexpr std::size_t kLong = 200000;
+    constexpr std::uint64_t kSeed = 77;
+    std::vector<Rng> engines;
+    for (std::size_t l = 0; l < kEngines; ++l) {
+      engines.push_back(Rng::stream(kSeed, l));
+    }
+    std::vector<double> out(kLong * kEngines);
+    const std::size_t scalar = detail::zig_fill_lanes(
+        isa, engines.data(), kEngines, out.data(), kEngines, kLong);
+    ZigPaths long_paths;
+    for (std::size_t l = 0; l < kEngines; ++l) {
+      expect_lane_matches_solo(out, kEngines, kLong, l, kSeed, engines[l],
+                               long_paths);
+    }
+    EXPECT_GT(long_paths.wedge_accepts, 0u);
+    EXPECT_GT(long_paths.wedge_retries, 0u);
+    EXPECT_GT(long_paths.tails, 0u);
+    if (isa == detail::ZigIsa::kScalar) {
+      EXPECT_EQ(scalar, kEngines * kLong);
+    } else {
+      // Tails always finish in scalar code; wedge-band hits are ~1e-7 of
+      // draws.
+      EXPECT_GE(scalar, long_paths.tails);
+      EXPECT_LT(scalar, long_paths.tails + 16);
     }
   }
-  EXPECT_GT(tails, 0u);
-  EXPECT_GT(wedges, 0u);
+}
+
+TEST(Rng, LaneZigExpIsWithinAQuarterOfTheWedgeBand) {
+  // The wedge decision equals the scalar one only while the kernels' exp
+  // stays within kZigWedgeBand / 4 of std::exp over the wedge's arguments
+  // t = -x^2/2, x in [0, r). Measured here on 10^8 evenly spaced
+  // arguments per kernel; on the development host (glibc 2.36, AVX-512
+  // and AVX2) the worst relative error was 7.0e-9 for both, against the
+  // band's 2^-24 = 6.0e-8.
+  constexpr std::size_t kArgs = 100000000;
+  constexpr std::size_t kBlock = 1 << 16;
+  const double lo = -0.5 * kZigTailCut * kZigTailCut;
+  for (const detail::ZigIsa isa : lane_isas()) {
+    if (isa == detail::ZigIsa::kScalar) continue;
+    std::vector<double> t(kBlock), e(kBlock);
+    double worst = 0.0;
+    for (std::size_t k0 = 0; k0 < kArgs; k0 += kBlock) {
+      const std::size_t m = std::min(kBlock, kArgs - k0);
+      for (std::size_t j = 0; j < m; ++j) {
+        t[j] = lo * (1.0 - static_cast<double>(k0 + j) / (kArgs - 1));
+      }
+      detail::zig_exp(isa, t.data(), e.data(), m);
+      for (std::size_t j = 0; j < m; ++j) {
+        const double ref = std::exp(t[j]);
+        worst = std::max(worst, std::abs(e[j] - ref) / ref);
+      }
+    }
+    std::ostringstream measured;
+    measured << std::scientific << worst;
+    RecordProperty("max_rel_error_isa" + std::to_string(static_cast<int>(isa)),
+                   measured.str());
+    EXPECT_LE(4.0 * worst, detail::kZigWedgeBand)
+        << "isa " << static_cast<int>(isa) << " worst " << worst;
+  }
+}
+
+TEST(Rng, LaneZigWedgeDecisionIsTheScalarOne) {
+  // The kernels' wedge decision against zig_fallback's y < exp(-x^2/2):
+  // x on a grid finer than the narrowest ziggurat strip (so every strip
+  // is hit), y one ulp either side of std::exp, on it, at both band edges
+  // and on their neighbours, and spread far outside the band.
+  std::vector<double> x, y;
+  for (int k = 0; k < 16384; ++k) {
+    const double xv = kZigTailCut * k / 16384.0;
+    const double e = std::exp(-0.5 * xv * xv);
+    const double lo = e * (1.0 - detail::kZigWedgeBand);
+    const double hi = e * (1.0 + detail::kZigWedgeBand);
+    for (double yv :
+         {std::nextafter(e, 0.0), e, std::nextafter(e, 2.0), lo,
+          std::nextafter(lo, 0.0), std::nextafter(lo, 2.0), hi,
+          std::nextafter(hi, 0.0), std::nextafter(hi, 2.0), 0.5 * e,
+          0.999 * e, 1.001 * e, std::min(1.0, 1.5 * e)}) {
+      x.push_back(xv);
+      y.push_back(yv);
+    }
+  }
+  for (const detail::ZigIsa isa : lane_isas()) {
+    if (isa == detail::ZigIsa::kScalar) continue;
+    const auto accept = std::make_unique<bool[]>(x.size());
+    const std::size_t band = detail::zig_wedge_accept(
+        isa, x.data(), y.data(), x.size(), accept.get());
+    std::size_t wrong = 0;
+    for (std::size_t k = 0; k < x.size(); ++k) {
+      wrong += accept[k] != (y[k] < std::exp(-0.5 * x[k] * x[k]));
+    }
+    EXPECT_EQ(wrong, 0u) << "isa " << static_cast<int>(isa);
+    // The three values at exp itself are always inside the band; the six
+    // at its edges may fall either side; the four far ones never do.
+    EXPECT_GE(band, 3 * 16384u);
+    EXPECT_LE(band, 9 * 16384u);
+  }
 }
 
 TEST(Rng, NormalFillZeroCountIsANoOp) {
