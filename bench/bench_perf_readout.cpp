@@ -1,12 +1,15 @@
 // google-benchmark microbenchmarks of the read-path subsystem: the bitline
-// ladder reduction (the dense solve Monte Carlo loops hoist), the per-read
-// sampling pipeline, and the RER / read-disturb trial loops. The items/s
-// rate of the trial-loop benches is trials/s. BENCH_readout.json commits
+// ladder reduction (one solve per sampled device in read_yield and
+// sense_margin_ir_drop, hoisted out of measure_rer's trial loop), the
+// per-read sampling pipeline, and the RER / read-disturb trial loops. The
+// items/s rate is ladder solves/s for BM_BitlineTheveninSolve and trials/s
+// for the trial-loop benches. BENCH_readout.json commits
 // these numbers (see README "Performance"; CI regenerates the JSON as a
 // per-PR artifact).
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "readout/bitline.h"
@@ -39,6 +42,7 @@ void BM_BitlineTheveninSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(path.port(row % rows, 0.2, column));
     ++row;
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_BitlineTheveninSolve)->Arg(16)->Arg(64)->Arg(128);
 

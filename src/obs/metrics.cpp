@@ -28,6 +28,7 @@ const char* counter_name(Counter c) {
     case Counter::kLlgFlops: return "llg.flops";
     case Counter::kLlgNoiseScalarFallbacks:
       return "llg.noise_scalar_fallbacks";
+    case Counter::kReadoutLadderSolves: return "readout.ladder_solves";
     case Counter::kRareIsRounds: return "rare.is.rounds";
     case Counter::kRareSplitLevels: return "rare.split.levels";
     case Counter::kRareMcmcProposals: return "rare.mcmc.proposals";

@@ -64,6 +64,7 @@ enum class Counter : std::uint16_t {
   kLlgBlocksW16,         ///< kernel calls at 16 slots (step_lanes<16>)
   kLlgFlops,             ///< est. flops executed (lane-steps x flops/step)
   kLlgNoiseScalarFallbacks,  ///< noise draws finished by scalar code
+  kReadoutLadderSolves,  ///< bitline ladder solves (BitlinePath::port calls)
   kRareIsRounds,         ///< importance-sampling rounds run
   kRareSplitLevels,      ///< subset-simulation levels resolved
   kRareMcmcProposals,    ///< pCN MCMC proposals made

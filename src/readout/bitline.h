@@ -21,15 +21,55 @@
 // nodes). BitlinePath solves it exactly: it removes the selected cell's
 // branch and reduces everything else to the Thevenin equivalent (v_th, r_th)
 // seen by that cell. Downstream consumers (sense-amp statistics, Monte Carlo
-// read trials) then evaluate any cell resistance against the port in O(1),
-// so the dense solve stays out of every trial loop that can hoist it.
+// read trials) then evaluate any cell resistance against the port in O(1).
+// measure_rer hoists the solve out of its trial loop; read_yield and
+// sense_margin_ir_drop solve once per sampled device (its own column data).
 //
-// The conductance matrix is symmetric and strictly diagonally dominant
-// (every node has a path to the supply or the sink), so plain Gaussian
-// elimination without pivoting is stable and the solve is deterministic --
-// no randomness, identical on every thread.
+// The solve. The conductance matrix is symmetric and strictly diagonally
+// dominant (every node has a path to the supply or the sink), so Gaussian
+// elimination without pivoting is stable and deterministic -- no
+// randomness, identical on every thread. Nodes are ordered bitline 0..N-1,
+// then source line N..2N-1, and eliminated in that order with both right-
+// hand sides (driver forcing v_read; unit test current into the port).
+// port() runs exactly that elimination's arithmetic but visits only the
+// ladder's fill pattern, in closed form (the selected row is the rung that
+// is missing, its entries stay +0):
+//   - bitline pivot k updates only bitline row k+1 and source-line rows
+//     N..N+k, and of pivot row k reads only column k+1 and the source-line
+//     span [N, N+k]; its multipliers never depend on the source-line block,
+//     so the block's updates run afterwards as one product, each entry
+//     still receiving them in ascending k;
+//   - after the last bitline pivot the source-line block is dense (N x N)
+//     and is eliminated in blocked form, each entry again receiving its
+//     updates in ascending pivot order;
+//   - back substitution runs over all source-line rows and the bitline rows
+//     from the selected one on, each row's terms in ascending column order.
+// Every visited entry gets the dense solve's a -= f * p updates, in the same
+// order, with each f = a[r][k] / pivot the same IEEE division. The skipped
+// work is exact to the bit: structurally zero entries start as +0 and
+// +0 - (+-0) = +0; entries below the diagonal are never read again; and for
+// a nonzero x, x - (+-0) = x. No -0 can arise (entries start as +0 or
+// nonzero, and under round-to-nearest x - x = +0), so skipping a zero term
+// never flips a sign either. v_th and r_th are therefore bit-identical to
+// the dense solve (tests/test_readout.cpp keeps it as the oracle). The
+// structural work is ~2N^3 / 3 multiply-subtracts (178k at N = 64, against
+// ~270k for the dense loop even with its f == 0 skips), done in SIMD across
+// independent entries, with no 2N x 2N matrix to allocate or zero.
 
 namespace mram::rdo {
+
+class BitlinePath;
+struct ReadPort;
+
+namespace detail {
+
+// The SIMD versions of the ladder solve behind BitlinePath::port
+// (readout/ladder_isa.h).
+enum class LadderIsa : int;
+ReadPort ladder_port(const BitlinePath& path, LadderIsa isa, std::size_t row,
+                     double v_read, const std::vector<int>& column_data);
+
+}  // namespace detail
 
 struct BitlineParams {
   double r_driver = 200.0;    ///< column driver + mux on-resistance [Ohm]
@@ -79,6 +119,10 @@ class BitlinePath {
                 const std::vector<int>& column_data) const;
 
  private:
+  friend ReadPort detail::ladder_port(const BitlinePath&, detail::LadderIsa,
+                                      std::size_t, double,
+                                      const std::vector<int>&);
+
   BitlineParams params_;
   double r_leak_p_;   ///< r_leak + R_P of an off cell [Ohm]
   double r_leak_ap_;  ///< r_leak + R_AP(0) of an off cell [Ohm]

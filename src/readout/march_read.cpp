@@ -11,10 +11,10 @@ namespace mram::rdo {
 mem::MarchReadHook make_march_read_hook(const ReadErrorModel& model,
                                         double temperature) {
   // Single-entry operating-point cache, shared across the hook's calls.
-  // The dense ladder solve only depends on (row, col, column data); march
-  // loops re-read the same cell with unchanged data all the time --
-  // back-to-back hammer reads most of all -- and every such repeat would
-  // otherwise pay the O((2N)^3) solve again. One entry suffices because a
+  // The ladder solve only depends on (row, col, column data); march loops
+  // re-read the same cell with unchanged data all the time -- back-to-back
+  // hammer reads most of all -- and every such repeat would otherwise pay
+  // the O(N^3) solve again. One entry suffices because a
   // march's reads of *different* columns are interleaved with the writes
   // that invalidate them anyway.
   struct Cache {

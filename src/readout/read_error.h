@@ -67,9 +67,9 @@ class ReadErrorModel {
   const BitlinePath& bitline() const { return bitline_; }
 
   /// Nominal electrical operating point of a read of `row` with
-  /// `column_data` (bit 1 = AP) on the shared lines. The dense ladder solve
+  /// `column_data` (bit 1 = AP) on the shared lines. The ladder solve
   /// lives here; everything downstream is O(1) per read, so Monte Carlo
-  /// loops hoist the operating point per chunk.
+  /// loops hoist the operating point where the device and column allow.
   struct OperatingPoint {
     std::size_t row = 0;
     ReadPort port;

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "disturb_oracle.h"
 #include "mram/march.h"
 #include "mram/mram_array.h"
+#include "obs/metrics.h"
 #include "readout/bitline.h"
+#include "readout/ladder_isa.h"
 #include "readout/march_read.h"
 #include "readout/read_error.h"
 #include "readout/rer.h"
@@ -92,6 +95,151 @@ TEST(Bitline, PortArithmetic) {
   const ReadPort port{1.0, 1000.0};
   EXPECT_DOUBLE_EQ(port.current_into(1000.0), 0.5e-3);
   EXPECT_DOUBLE_EQ(port.voltage_across(1000.0), 0.5);
+}
+
+/// In-place Gaussian elimination without pivoting over the dense matrix,
+/// every entry visited: the solve BitlinePath::port ran before it walked
+/// only the ladder's fill pattern. `rhs` holds k right-hand sides
+/// column-major and receives the solutions.
+void solve_spd(std::vector<double>& a, std::vector<double>& rhs,
+               std::size_t n, std::size_t k) {
+  for (std::size_t col = 0; col < n; ++col) {
+    const double pivot = a[col * n + col];
+    ASSERT_GT(std::abs(pivot), 0.0);
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double f = a[r * n + col] / pivot;
+      if (f == 0.0) continue;
+      for (std::size_t c = col; c < n; ++c) a[r * n + c] -= f * a[col * n + c];
+      for (std::size_t s = 0; s < k; ++s) {
+        rhs[s * n + r] -= f * rhs[s * n + col];
+      }
+    }
+  }
+  for (std::size_t s = 0; s < k; ++s) {
+    for (std::size_t ri = n; ri-- > 0;) {
+      double x = rhs[s * n + ri];
+      for (std::size_t c = ri + 1; c < n; ++c) {
+        x -= a[ri * n + c] * rhs[s * n + c];
+      }
+      rhs[s * n + ri] = x / a[ri * n + ri];
+    }
+  }
+}
+
+/// Dense oracle of BitlinePath::port: stamps the 2N-node network (bitline
+/// nodes 0..N-1, source-line nodes N..2N-1) from the public parameters in
+/// the stamp order the library uses and solves it with solve_spd.
+ReadPort dense_port(const BitlineParams& params,
+                    const dev::ElectricalModel& cell, std::size_t row,
+                    double v_read, const std::vector<int>& column_data) {
+  const double r_leak_p =
+      params.r_leak + cell.resistance(MtjState::kParallel, 0.0);
+  const double r_leak_ap =
+      params.r_leak + cell.resistance(MtjState::kAntiParallel, 0.0);
+  const std::size_t n_rows = params.rows;
+  const std::size_t n = 2 * n_rows;
+  std::vector<double> g(n * n, 0.0);
+  std::vector<double> rhs(2 * n, 0.0);
+  auto stamp = [&](std::size_t i, std::size_t j, double conductance) {
+    g[i * n + i] += conductance;
+    g[j * n + j] += conductance;
+    g[i * n + j] -= conductance;
+    g[j * n + i] -= conductance;
+  };
+  const double g_driver = 1.0 / params.r_driver;
+  g[0] += g_driver;
+  rhs[0] = v_read * g_driver;
+  g[n_rows * n + n_rows] += 1.0 / params.r_sink;
+  const double g_bl =
+      params.r_bl_segment > 0.0 ? 1.0 / params.r_bl_segment : 1e12;
+  const double g_sl =
+      params.r_sl_segment > 0.0 ? 1.0 / params.r_sl_segment : 1e12;
+  for (std::size_t i = 0; i + 1 < n_rows; ++i) {
+    stamp(i, i + 1, g_bl);
+    stamp(n_rows + i, n_rows + i + 1, g_sl);
+  }
+  for (std::size_t i = 0; i < n_rows; ++i) {
+    if (i == row) continue;
+    stamp(i, n_rows + i, 1.0 / (column_data[i] ? r_leak_ap : r_leak_p));
+  }
+  rhs[n + row] = 1.0;
+  rhs[n + n_rows + row] = -1.0;
+  solve_spd(g, rhs, n, 2);
+  return ReadPort{rhs[row] - rhs[n_rows + row],
+                  rhs[n + row] - rhs[n + n_rows + row]};
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+TEST(Bitline, StructuredSolveMatchesDenseOracleBitwise) {
+  // port() skips only structural zeros and entries below the diagonal, so
+  // v_th and r_th must equal the dense elimination's to the bit, on every
+  // SIMD version of the solve this CPU runs: on every selected row of short
+  // columns (the first, last and interior rows of the fill pattern), on the
+  // four column-data shapes, at the ideal-wire tie (1e12) and across seven
+  // decades of leak resistance.
+  util::Rng rng(16);
+  const auto cell = nominal_cell();
+  struct Variant {
+    double r_seg;
+    double r_leak;
+  };
+  const Variant variants[] = {
+      {4.0, 250e3}, {0.0, 250e3}, {4.0, 1e2}, {4.0, 1e9}, {0.0, 1e2}};
+  for (const std::size_t rows :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{5},
+        std::size_t{16}, std::size_t{64}, std::size_t{128}}) {
+    std::vector<std::size_t> selected;
+    if (rows <= 16) {
+      for (std::size_t r = 0; r < rows; ++r) selected.push_back(r);
+    } else {
+      selected = {0, rows - 1};
+      for (int i = 0; i < 8; ++i) {
+        selected.push_back(
+            static_cast<std::size_t>(rng.uniform() * static_cast<double>(rows)));
+      }
+    }
+    std::vector<std::vector<int>> columns(4, std::vector<int>(rows));
+    for (std::size_t r = 0; r < rows; ++r) {
+      columns[0][r] = 0;                            // all P
+      columns[1][r] = 1;                            // all AP
+      columns[2][r] = static_cast<int>(r & 1);      // checkerboard
+      columns[3][r] = rng.uniform() < 0.5 ? 1 : 0;        // random
+    }
+    for (const Variant& v : variants) {
+      BitlineParams params;
+      params.rows = rows;
+      params.r_bl_segment = v.r_seg;
+      params.r_sl_segment = v.r_seg;
+      params.r_leak = v.r_leak;
+      const BitlinePath path(params, cell);
+      for (const auto& column : columns) {
+        for (const std::size_t row : selected) {
+          const double v_read = rng.uniform(0.01, 0.5);
+          const ReadPort want = dense_port(params, cell, row, v_read, column);
+          for (int isa = 0; isa <= static_cast<int>(detail::ladder_isa());
+               ++isa) {
+            const ReadPort got =
+                detail::ladder_port(path, static_cast<detail::LadderIsa>(isa),
+                                    row, v_read, column);
+            ASSERT_TRUE(same_bits(got.v_thevenin, want.v_thevenin))
+                << "isa " << isa << " rows " << rows << " row " << row
+                << " r_seg " << v.r_seg << " r_leak " << v.r_leak << ": "
+                << got.v_thevenin << " vs " << want.v_thevenin;
+            ASSERT_TRUE(same_bits(got.r_thevenin, want.r_thevenin))
+                << "isa " << isa << " rows " << rows << " row " << row
+                << " r_seg " << v.r_seg << " r_leak " << v.r_leak << ": "
+                << got.r_thevenin << " vs " << want.r_thevenin;
+          }
+          const ReadPort got = path.port(row, v_read, column);
+          ASSERT_TRUE(same_bits(got.v_thevenin, want.v_thevenin));
+          ASSERT_TRUE(same_bits(got.r_thevenin, want.r_thevenin));
+        }
+      }
+    }
+  }
 }
 
 // --- sense amplifier --------------------------------------------------------
@@ -427,6 +575,23 @@ TEST(ReadYield, DeterministicAndSpecMonotone) {
   EXPECT_LE(tight.pass_margin, a.pass_margin);
   EXPECT_LT(tight.yield, 1.0);
   EXPECT_GT(a.pass_disturb, 0u);
+}
+
+TEST(ReadYield, CountsOneLadderSolvePerSampledDevice) {
+  // readout.ladder_solves is how a metrics doc explains the read path's
+  // cost: every sampled device rebuilds its read path and solves its
+  // column's ladder once, on whichever worker runs it.
+  obs::Registry reg;
+  obs::ScopedRegistry guard(&reg);
+  ReadYieldConfig cfg;
+  cfg.path = small_path(0.2, 16);
+  cfg.samples = 37;
+  cfg.runner.threads = 2;
+  util::Rng rng(5);
+  read_yield(cfg, rng);
+  const BitlinePath path(cfg.path.bitline, nominal_cell());
+  path.port(3, 0.2, std::vector<int>(16, 0));
+  EXPECT_EQ(reg.snapshot().counters.at("readout.ladder_solves"), 38u);
 }
 
 TEST(ReadYield, SpecValidation) {
