@@ -23,6 +23,7 @@
 #include "device/mtj_device.h"
 #include "engine/monte_carlo.h"
 #include "engine/rare_event.h"
+#include "mram/retention.h"
 #include "mram/wer.h"
 #include "readout/rer.h"
 #include "util/rng.h"
@@ -160,6 +161,51 @@ void BM_RerDeepImportance(benchmark::State& state) {
   report_estimate(state, last);
 }
 BENCHMARK(BM_RerDeepImportance);
+
+void BM_RerDeepSplitting(benchmark::State& state) {
+  // Subset simulation on the same read path as BM_RerDeepImportance: every
+  // MCMC proposal scores a lane block through the lane noise margin.
+  rdo::RerConfig cfg;
+  cfg.path.v_read = 0.16;
+  cfg.trials = 2000;
+  cfg.hz_stray = dev::MtjDevice(cfg.device).intra_stray_field();
+  cfg.runner.threads = 1;
+  cfg.rare.method = eng::RareEventMethod::kSplitting;
+  eng::MonteCarloRunner runner(cfg.runner);
+  eng::RareEventEstimate last;
+  for (auto _ : state) {
+    util::Rng rng(7);
+    last = rdo::measure_rer(cfg, rng, runner).rare;
+    benchmark::DoNotOptimize(last);
+  }
+  report_estimate(state, last);
+}
+BENCHMARK(BM_RerDeepSplitting);
+
+void BM_RetentionDeepSplitting(benchmark::State& state) {
+  // The retention_deep scenario's point at delta0 = 76: subset simulation
+  // over the 16 per-cell latents of a hot 4x4 array (~1e-13).
+  mem::RetentionEnsembleConfig cfg;
+  cfg.array.device = dev::MtjParams::reference_device(35e-9);
+  cfg.array.device.delta0 = 76.0;
+  cfg.array.pitch = 1.5 * 35e-9;
+  cfg.array.rows = cfg.array.cols = 4;
+  cfg.array.temperature = 380.0;
+  cfg.pattern = arr::PatternKind::kAllZero;
+  cfg.hold = 1.0;
+  cfg.trials = 1200;
+  cfg.runner.threads = 1;
+  cfg.rare.method = eng::RareEventMethod::kSplitting;
+  eng::MonteCarloRunner runner(cfg.runner);
+  eng::RareEventEstimate last;
+  for (auto _ : state) {
+    util::Rng rng(7);
+    last = mem::measure_retention_faults(cfg, rng, runner).rare;
+    benchmark::DoNotOptimize(last);
+  }
+  report_estimate(state, last);
+}
+BENCHMARK(BM_RetentionDeepSplitting);
 
 }  // namespace
 

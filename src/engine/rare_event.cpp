@@ -71,32 +71,47 @@ struct ScorePartial {
   }
 };
 
+/// Appends lane l of the SoA block z (row stride kRareLanes) and its score
+/// to a generation partial, trial-major like the merged generation.
+void append_lane(ScorePartial& acc, const double* z, std::size_t dim,
+                 std::size_t l, double score) {
+  for (std::size_t d = 0; d < dim; ++d) acc.zs.push_back(z[d * kRareLanes + l]);
+  acc.scores.push_back(score);
+}
+
 }  // namespace
 
-RareEventEstimate subset_simulation(
-    MonteCarloRunner& runner, std::size_t dim, std::size_t n_per_level,
-    std::uint64_t seed, const RareEventConfig& cfg,
-    const std::function<double(const double*)>& score) {
+RareEventEstimate subset_simulation(MonteCarloRunner& runner,
+                                    std::size_t dim, std::size_t n_per_level,
+                                    std::uint64_t seed,
+                                    const RareEventConfig& cfg,
+                                    const LaneScore& score) {
   cfg.validate();
   MRAM_EXPECTS(dim > 0, "subset simulation needs a positive dimension");
   MRAM_EXPECTS(n_per_level >= 4, "subset simulation needs >= 4 per level");
   reject_shard_mode(runner, "subset simulation");
+  constexpr std::size_t W = kRareLanes;
   const std::size_t N = n_per_level;
   const double dN = static_cast<double>(N);
 
   RareEventEstimate est;
   est.method = RareEventMethod::kSplitting;
 
-  // Level 0: fresh standard-normal latent vectors through the runner.
-  ScorePartial gen = runner.run<ScorePartial>(
-      N, derive_seed(seed, 0),
-      [&] { return std::vector<double>(dim); },
-      [&](std::vector<double>& z, util::Rng& rng, std::size_t,
-          ScorePartial& acc) {
+  // Level 0: fresh standard-normal latent vectors through the runner. The
+  // context is a zeroed SoA block, so lanes a short block leaves unwritten
+  // hold finite values.
+  ScorePartial gen = runner.run_batched<ScorePartial>(
+      N, derive_seed(seed, 0), W,
+      [&] { return std::vector<double>(dim * W); },
+      [&](std::vector<double>& z, util::Rng* rngs, std::size_t,
+          std::size_t n, ScorePartial* const* acc) {
         obs::tag_kernel(obs::KernelTag::kRare);
-        rng.normal_fill(z.data(), dim);
-        acc.zs.insert(acc.zs.end(), z.begin(), z.end());
-        acc.scores.push_back(score(z.data()));
+        util::Rng::normal_fill_lanes(rngs, n, z.data(), W, dim);
+        double s[W];
+        score(n, z.data(), W, s);
+        for (std::size_t l = 0; l < n; ++l) {
+          append_lane(*acc[l], z.data(), dim, l, s[l]);
+        }
       });
 
   double log_p = 0.0;
@@ -107,40 +122,63 @@ RareEventEstimate subset_simulation(
   // Resamples the next generation from `parents` (indices into gen),
   // refreshing each trial with cfg.mcmc_steps pCN moves accepted inside
   // {score >= level}. Trial i of level tag k draws only from
-  // Rng::stream(derive_seed(seed, k), i).
+  // Rng::stream(derive_seed(seed, k), i): its parent, then all its
+  // proposals' noise (see the header).
+  struct Chains {
+    std::vector<double> cur, prop, noise;  // SoA blocks, row stride W
+  };
   const auto resample = [&](const std::vector<std::size_t>& parents,
                             double level, std::uint64_t tag) {
     const double rho = cfg.mcmc_rho;
     const double beta = std::sqrt(1.0 - rho * rho);
     const std::size_t m = parents.size();
-    gen = runner.run<ScorePartial>(
-        N, derive_seed(seed, tag),
-        [&] { return std::vector<double>(2 * dim); },
-        [&, m](std::vector<double>& buf, util::Rng& rng, std::size_t,
-               ScorePartial& acc) {
+    const std::size_t steps = cfg.mcmc_steps;
+    gen = runner.run_batched<ScorePartial>(
+        N, derive_seed(seed, tag), W,
+        [&] {
+          return Chains{std::vector<double>(dim * W),
+                        std::vector<double>(dim * W),
+                        std::vector<double>(steps * dim * W)};
+        },
+        [&, m](Chains& c, util::Rng* rngs, std::size_t, std::size_t n,
+               ScorePartial* const* acc) {
           obs::tag_kernel(obs::KernelTag::kRare);
-          double* cur = buf.data();
-          double* prop = buf.data() + dim;
-          const std::size_t j = parents[rng.below(m)];
-          std::copy_n(gen.zs.data() + j * dim, dim, cur);
-          double cur_score = gen.scores[j];
-          for (std::size_t step = 0; step < cfg.mcmc_steps; ++step) {
-            rng.normal_fill(prop, dim);
+          double* const cur = c.cur.data();
+          double* const prop = c.prop.data();
+          double cur_score[W], s[W];
+          for (std::size_t l = 0; l < n; ++l) {
+            const std::size_t j = parents[rngs[l].below(m)];
             for (std::size_t d = 0; d < dim; ++d) {
-              prop[d] = rho * cur[d] + beta * prop[d];
+              cur[d * W + l] = gen.zs[j * dim + d];
             }
-            const double s = score(prop);
-            obs::counter_add(obs::Counter::kRareMcmcProposals);
-            if (s >= level) {
-              obs::counter_add(obs::Counter::kRareMcmcAccepts);
-              std::copy_n(prop, dim, cur);
-              cur_score = s;
+            cur_score[l] = gen.scores[j];
+          }
+          util::Rng::normal_fill_lanes(rngs, n, c.noise.data(), W,
+                                       steps * dim);
+          std::size_t accepts = 0;
+          for (std::size_t step = 0; step < steps; ++step) {
+            const double* const e = c.noise.data() + step * dim * W;
+            for (std::size_t k = 0; k < dim * W; ++k) {
+              prop[k] = rho * cur[k] + beta * e[k];
+            }
+            score(n, prop, W, s);
+            for (std::size_t l = 0; l < n; ++l) {
+              if (s[l] >= level) {
+                ++accepts;
+                for (std::size_t d = 0; d < dim; ++d) {
+                  cur[d * W + l] = prop[d * W + l];
+                }
+                cur_score[l] = s[l];
+              }
             }
           }
-          acc.zs.insert(acc.zs.end(), cur, cur + dim);
-          acc.scores.push_back(cur_score);
+          obs::counter_add(obs::Counter::kRareMcmcProposals, n * steps);
+          obs::counter_add(obs::Counter::kRareMcmcAccepts, accepts);
+          for (std::size_t l = 0; l < n; ++l) {
+            append_lane(*acc[l], cur, dim, l, cur_score[l]);
+          }
         });
-    evals += dN * static_cast<double>(cfg.mcmc_steps);
+    evals += dN * static_cast<double>(steps);
   };
 
   const auto count_hits = [&] {
@@ -177,15 +215,21 @@ RareEventEstimate subset_simulation(
         est.ess = static_cast<double>(hits);
         break;
       }
+      // The top m trials in (score desc, index asc) order. The comparator
+      // is a strict total order, so nth_element puts the m-th trial at
+      // m - 1 and the m - 1 ahead of it in some order; sorting those gives
+      // exactly the first m of a full sort, without sorting all N.
       std::vector<std::size_t> order(N);
       std::iota(order.begin(), order.end(), std::size_t{0});
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (gen.scores[a] != gen.scores[b]) {
-                    return gen.scores[a] > gen.scores[b];
-                  }
-                  return a < b;
-                });
+      const auto higher = [&](std::size_t a, std::size_t b) {
+        if (gen.scores[a] != gen.scores[b]) {
+          return gen.scores[a] > gen.scores[b];
+        }
+        return a < b;
+      };
+      const auto mth = order.begin() + static_cast<std::ptrdiff_t>(m - 1);
+      std::nth_element(order.begin(), mth, order.end(), higher);
+      std::sort(order.begin(), mth, higher);
       const double level = gen.scores[order[m - 1]];
       if (k >= cfg.max_levels || level <= prev_level) {
         // No further progress possible; settle for the direct estimate at

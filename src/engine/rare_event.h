@@ -188,20 +188,48 @@ RareEventEstimate importance_rounds(MonteCarloRunner& runner,
   return est;
 }
 
+/// Lane width of the analytic rare-event drivers: subset simulation
+/// advances its chains, and RER importance sampling its trials, this many
+/// at a time through MonteCarloRunner::run_batched. Results never depend
+/// on it (see subset_simulation); it only sets how many scores one
+/// LaneScore call evaluates.
+inline constexpr std::size_t kRareLanes = 16;
+
+/// Score of a block of latent vectors, structure of arrays: lane l's vector
+/// is z[d * ld + l] for d in [0, dim), and its score goes to out[l], for
+/// l in [0, n). n <= ld. Lanes from n to ld may hold stale or zero values:
+/// a score must neither write their out[] nor let them change the scores
+/// of lanes below n. Lane l's score must be a pure function of its own
+/// vector, the same bits whatever n is and whichever lane it sits in.
+using LaneScore = std::function<void(std::size_t n, const double* z,
+                                     std::size_t ld, double* out)>;
+
 /// Subset simulation (multilevel splitting in a standard-normal latent
 /// space) for the analytic workloads. The event is expressed through a
 /// deterministic score over `dim` iid standard normals; failure is
 /// score > 0. Level 0 draws n_per_level fresh vectors through the runner;
 /// each subsequent level resamples survivors and refreshes them with
 /// cfg.mcmc_steps preconditioned-Crank-Nicolson moves accepted inside the
-/// current level set. Levels come from cfg.levels (ascending score
-/// thresholds) or the adaptive quantile schedule (top level_p0 fraction,
-/// ties broken by trial index). Deterministic across --threads: level-k
-/// trial i draws only from Rng::stream(derive_seed(seed, k), i), and all
-/// cross-trial logic runs serially on chunk-order-merged results.
-RareEventEstimate subset_simulation(
-    MonteCarloRunner& runner, std::size_t dim, std::size_t n_per_level,
-    std::uint64_t seed, const RareEventConfig& cfg,
-    const std::function<double(const double*)>& score);
+/// current level set (score >= level). Levels come from cfg.levels
+/// (ascending score thresholds) or the adaptive quantile schedule (top
+/// level_p0 fraction, ties broken by trial index).
+///
+/// Chains run kRareLanes at a time through run_batched, and `score`
+/// evaluates a whole lane block per call. Each chain still draws from its
+/// own stream in a fixed order: level-k trial i draws only from
+/// Rng::stream(derive_seed(seed, k), i) -- at level 0 its `dim` normals;
+/// at a resampling level first below(#parents) for its parent, then
+/// mcmc_steps * dim normals in one fill, proposal s taking normals
+/// [s * dim, (s + 1) * dim) (one fill equals the per-step fills it
+/// replaces, util::Rng::normal_fill). Lanes fold into their chunk partials
+/// in lane order, and all cross-trial logic runs serially on
+/// chunk-order-merged results, so every estimate is bit-identical across
+/// --threads and to the one-chain-at-a-time loop the tests keep as their
+/// oracle. The proposal and accept counters are added once per block.
+RareEventEstimate subset_simulation(MonteCarloRunner& runner,
+                                    std::size_t dim, std::size_t n_per_level,
+                                    std::uint64_t seed,
+                                    const RareEventConfig& cfg,
+                                    const LaneScore& score);
 
 }  // namespace mram::eng

@@ -1,5 +1,6 @@
 #include "mram/retention.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -179,12 +180,13 @@ RetentionEnsembleResult measure_retention_faults(
       }
       est = eng::subset_simulation(
           runner, b.size(), config.trials, seed, config.rare,
-          [&b](const double* z) {
-            double worst = -std::numeric_limits<double>::infinity();
+          [&b](std::size_t n, const double* z, std::size_t ld, double* out) {
+            std::fill_n(out, n, -std::numeric_limits<double>::infinity());
             for (std::size_t i = 0; i < b.size(); ++i) {
-              worst = std::max(worst, b[i] - z[i]);
+              for (std::size_t l = 0; l < n; ++l) {
+                out[l] = std::max(out[l], b[i] - z[i * ld + l]);
+              }
             }
-            return worst;
           });
     }
 

@@ -11,16 +11,16 @@ namespace mram::rdo {
 mem::MarchReadHook make_march_read_hook(const ReadErrorModel& model,
                                         double temperature) {
   // Single-entry operating-point cache, shared across the hook's calls.
-  // The ladder solve only depends on (row, col, column data); march loops
-  // re-read the same cell with unchanged data all the time -- back-to-back
-  // hammer reads most of all -- and every such repeat would otherwise pay
-  // the O(N^3) solve again. One entry suffices because a
-  // march's reads of *different* columns are interleaved with the writes
-  // that invalidate them anyway.
+  // The operating point depends only on (row, column data): every column
+  // has the same ladder, so the column index is not part of the key. March
+  // loops re-read the same row with unchanged data all the time --
+  // back-to-back hammer reads most of all, and reads of the next column
+  // holding the same data -- and every such repeat would otherwise pay the
+  // ladder solve again. One entry suffices because writes change the data
+  // between most other reads anyway.
   struct Cache {
     bool valid = false;
     std::size_t row = 0;
-    std::size_t col = 0;
     std::vector<int> column;
     ReadErrorModel::OperatingPoint op;
   };
@@ -37,11 +37,9 @@ mem::MarchReadHook make_march_read_hook(const ReadErrorModel& model,
     for (std::size_t r = 0; r < array.rows(); ++r) {
       column[r] = array.read(r, col);
     }
-    if (!cache->valid || cache->row != row || cache->col != col ||
-        cache->column != column) {
+    if (!cache->valid || cache->row != row || cache->column != column) {
       cache->op = model.operating_point(row, column);
       cache->row = row;
-      cache->col = col;
       cache->column = std::move(column);
       cache->valid = true;
     }

@@ -32,7 +32,12 @@
 // inside SenseAmp::sample, then exactly one uniform for the disturb
 // bernoulli when its probability is in (0, 1) -- so scalar and batched
 // Monte Carlo paths driven by the same util::Rng::stream agree bit for bit,
-// mirroring the write-side contract of measure_wer.
+// mirroring the write-side contract of measure_wer. The AP cell's
+// bias-dependent fixed point has one body, instantiated on one value for
+// cell_read and on SIMD lanes for noise_margin: every lane runs the same
+// IEEE operations in the same order as cell_read (the build pins
+// -ffp-contract=off) and stops on its own convergence test, so a lane's
+// margin is the same bits at every vector width and lane position.
 
 namespace mram::rdo {
 
@@ -116,18 +121,23 @@ class ReadErrorModel {
                           double hz_stray, double t, util::Rng& rng) const;
 
   /// Deterministic mirror of sample_read's sense decision with the three
-  /// standard-normal deviates made explicit: z[0] is the TMR variation,
-  /// z[1] the comparator offset, z[2] the reference mismatch. Returns the
-  /// signed correct-side differential the latch sees; the read fails
-  /// (wrong decision or metastable strobe) iff the returned margin is
-  /// below the sense amp's metastable band. At z = {0,0,0} this equals
-  /// op.margin. The rare-event drivers tilt / split on this function.
-  double noise_margin(const OperatingPoint& op, dev::MtjState stored,
-                      const double z[3]) const;
+  /// standard-normal deviates made explicit, for n reads at once in
+  /// structure-of-arrays layout: read l's deviates are z[l] (the TMR
+  /// variation, clamped like sample_read), z[ld + l] (the comparator
+  /// offset) and z[2 * ld + l] (the reference mismatch), and out[l]
+  /// receives the signed correct-side differential its latch sees. A read
+  /// fails (wrong decision or metastable strobe) iff its margin is below
+  /// the sense amp's metastable band. At z = {0,0,0} the margin equals
+  /// op.margin. For stored AP the cell's fixed point runs on SIMD lanes,
+  /// each lane masked off once its own iterate converges, at the widest
+  /// width this CPU has (detail::ladder_isa); every lane gets the bits the
+  /// one-read arithmetic of sample_read would give. Reads only out[0, n)
+  /// and z's first n lanes. The rare-event drivers tilt / split on this.
+  void noise_margin(const OperatingPoint& op, dev::MtjState stored,
+                    std::size_t n, const double* z, std::size_t ld,
+                    double* out) const;
 
  private:
-  double mtj_resistance(dev::MtjState state, double v, double tmr_mult) const;
-
   dev::MtjDevice device_;
   ReadPathConfig path_;
   SenseAmp sense_;

@@ -96,28 +96,39 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
                               s * theta * sp.reference_sigma / sigma};
       const double bias =
           0.5 * (tilt[1] * tilt[1] + tilt[2] * tilt[2]);
+      // Trials run in lane blocks: each lane's z is exactly its stream's
+      // normal_fill_tilted(z, 3, tilt, 3) (the fill, then the mean shift),
+      // and lanes fold into their chunk partials in lane order.
+      constexpr std::size_t W = eng::kRareLanes;
       est = eng::importance_rounds(
           runner, config.trials, seed, config.rare,
           [&](std::uint64_t round_seed) {
-            return runner.run<util::WeightedStats>(
-                config.trials, round_seed,
-                [&](util::Rng& trial_rng, std::size_t,
-                    util::WeightedStats& ws) {
-                  double z[3];
-                  trial_rng.normal_fill_tilted(z, 3, tilt, 3);
-                  if (model.noise_margin(op, config.stored, z) < band) {
-                    ws.add(1.0, std::exp(bias - tilt[1] * z[1] -
-                                         tilt[2] * z[2]));
-                  } else {
-                    ws.add(0.0, 0.0);
+            return runner.run_batched<util::WeightedStats>(
+                config.trials, round_seed, W,
+                [&](util::Rng* rngs, std::size_t, std::size_t n,
+                    util::WeightedStats* const* acc) {
+                  double z[3 * W], margin[W];
+                  util::Rng::normal_fill_lanes(rngs, n, z, W, 3);
+                  for (std::size_t d = 0; d < 3; ++d) {
+                    for (std::size_t l = 0; l < n; ++l) z[d * W + l] += tilt[d];
+                  }
+                  model.noise_margin(op, config.stored, n, z, W, margin);
+                  for (std::size_t l = 0; l < n; ++l) {
+                    if (margin[l] < band) {
+                      acc[l]->add(1.0, std::exp(bias - tilt[1] * z[W + l] -
+                                                tilt[2] * z[2 * W + l]));
+                    } else {
+                      acc[l]->add(0.0, 0.0);
+                    }
                   }
                 });
           });
     } else {
       est = eng::subset_simulation(
           runner, 3, config.trials, seed, config.rare,
-          [&](const double* z) {
-            return band - model.noise_margin(op, config.stored, z);
+          [&](std::size_t n, const double* z, std::size_t ld, double* out) {
+            model.noise_margin(op, config.stored, n, z, ld, out);
+            for (std::size_t l = 0; l < n; ++l) out[l] = band - out[l];
           });
     }
 

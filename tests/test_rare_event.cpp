@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -20,10 +23,12 @@
 #include "dynamics/switching_sim.h"
 #include "engine/monte_carlo.h"
 #include "engine/rare_event.h"
+#include "obs/metrics.h"
 #include "mram/retention.h"
 #include "mram/wer.h"
 #include "readout/read_error.h"
 #include "readout/rer.h"
+#include "subset_oracle.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -319,7 +324,9 @@ TEST(RareEvent, SubsetSimulationEstimatesAGaussianTail) {
   cfg.method = eng::RareEventMethod::kSplitting;
   const auto est = eng::subset_simulation(
       runner, 1, 1500, 13, cfg,
-      [beta](const double* z) { return z[0] - beta; });
+      [beta](std::size_t n, const double* z, std::size_t, double* out) {
+        for (std::size_t l = 0; l < n; ++l) out[l] = z[l] - beta;
+      });
   EXPECT_FALSE(est.level_probabilities.empty());
   EXPECT_GT(est.probability, 0.0);
   // Subset-simulation error bounds are approximate; a 3x bracket on a
@@ -352,7 +359,11 @@ TEST(RareEvent, DriversAreBitIdenticalAcrossThreadCounts) {
         });
     const auto split = eng::subset_simulation(
         runner, 2, 400, 22, cfg,
-        [beta](const double* z) { return 0.5 * (z[0] + z[1]) * 1.41421356 - beta; });
+        [beta](std::size_t n, const double* z, std::size_t ld, double* out) {
+          for (std::size_t l = 0; l < n; ++l) {
+            out[l] = 0.5 * (z[l] + z[ld + l]) * 1.41421356 - beta;
+          }
+        });
     return std::pair{is, split};
   };
   const auto [is1, split1] = run_both(1);
@@ -366,6 +377,86 @@ TEST(RareEvent, DriversAreBitIdenticalAcrossThreadCounts) {
 
 // --- read-error model hook --------------------------------------------------
 
+TEST(RareEvent, LaneSubsetSimulationMatchesScalarOracleBitwise) {
+  // The lane driver against the one-chain-at-a-time oracle: dimensions
+  // from 1 to 16, level sizes below, at and not divisible by the lane
+  // width, both level schedules, 1 and 4 threads. Every estimate field
+  // and both MCMC counters must agree exactly.
+  const auto counter = [](const obs::Snapshot& snap, const char* name) {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (const std::size_t dim : {1u, 2u, 3u, 16u}) {
+    // A tilted linear score plus a nonlinear term, so levels depend on
+    // every coordinate; the tail sits ~1e-3 deep.
+    const oracle::ScalarScore f = [dim](const double* z) {
+      double lin = 0.0, norm = 0.0, worst = -1e300;
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double w = 1.0 + 0.1 * static_cast<double>(d);
+        lin += w * z[d];
+        norm += w * w;
+        worst = std::max(worst, z[d]);
+      }
+      const double score = lin / std::sqrt(norm) + 0.1 * worst - 3.0;
+      // Two dimensions score on a grid of 1/8: proposals tie with the
+      // level, so accepting on > instead of >= shows.
+      return dim == 2 ? std::floor(8.0 * score) / 8.0 : score;
+    };
+    for (const std::size_t n : {4u, 7u, 9u, 400u, 1500u}) {
+      for (const bool adaptive : {true, false}) {
+        eng::RareEventConfig cfg;
+        cfg.method = eng::RareEventMethod::kSplitting;
+        if (!adaptive) cfg.levels = {-2.0, -1.0, -0.4};
+        for (const unsigned threads : {1u, 4u}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "dim " << dim << " n " << n << " adaptive "
+                       << adaptive << " threads " << threads);
+          eng::RunnerConfig rc;
+          rc.threads = threads;
+          eng::MonteCarloRunner runner(rc);
+          const std::uint64_t seed = 1000 + dim * 31 + n;
+          obs::Registry want_reg, got_reg;
+          eng::RareEventEstimate want, got;
+          {
+            obs::ScopedRegistry guard(&want_reg);
+            want = oracle::subset_simulation(runner, dim, n, seed, cfg, f);
+          }
+          {
+            obs::ScopedRegistry guard(&got_reg);
+            got = eng::subset_simulation(runner, dim, n, seed, cfg,
+                                         oracle::lane_score(f, dim));
+          }
+          EXPECT_TRUE(same_bits(got.probability, want.probability));
+          EXPECT_TRUE(same_bits(got.rel_error, want.rel_error));
+          EXPECT_TRUE(same_bits(got.simulated_trials, want.simulated_trials));
+          EXPECT_TRUE(same_bits(got.ess, want.ess));
+          EXPECT_TRUE(same_bits(got.confidence.hi, want.confidence.hi));
+          ASSERT_EQ(got.level_probabilities.size(),
+                    want.level_probabilities.size());
+          EXPECT_EQ(std::memcmp(got.level_probabilities.data(),
+                                want.level_probabilities.data(),
+                                want.level_probabilities.size() *
+                                    sizeof(double)),
+                    0);
+          const auto ws = want_reg.snapshot();
+          const auto gs = got_reg.snapshot();
+          EXPECT_EQ(counter(gs, "rare.mcmc.proposals"),
+                    counter(ws, "rare.mcmc.proposals"));
+          EXPECT_EQ(counter(gs, "rare.mcmc.accepts"),
+                    counter(ws, "rare.mcmc.accepts"));
+          EXPECT_EQ(counter(gs, "rare.split.levels"),
+                    counter(ws, "rare.split.levels"));
+        }
+      }
+    }
+  }
+}
+
+// --- read-error model hook --------------------------------------------------
+
 TEST(NoiseMargin, AtZeroDeviatesEqualsTheNominalMargin) {
   const auto params = dev::MtjParams::reference_device(35e-9);
   rdo::ReadPathConfig path;
@@ -373,16 +464,18 @@ TEST(NoiseMargin, AtZeroDeviatesEqualsTheNominalMargin) {
   const rdo::ReadErrorModel model(params, path);
   const std::vector<int> column(16, 0);
   const auto op = model.operating_point(15, column);
+  const auto margin = [&](dev::MtjState stored, const double z[3]) {
+    double out = 0.0;
+    model.noise_margin(op, stored, 1, z, 1, &out);
+    return out;
+  };
   const double z0[3] = {0.0, 0.0, 0.0};
-  EXPECT_DOUBLE_EQ(model.noise_margin(op, dev::MtjState::kParallel, z0),
-                   op.margin);
-  EXPECT_DOUBLE_EQ(model.noise_margin(op, dev::MtjState::kAntiParallel, z0),
-                   op.margin);
+  EXPECT_DOUBLE_EQ(margin(dev::MtjState::kParallel, z0), op.margin);
+  EXPECT_DOUBLE_EQ(margin(dev::MtjState::kAntiParallel, z0), op.margin);
   // Comparator offset moves the two stored states in opposite directions.
   const double zo[3] = {0.0, 1.0, 0.0};
-  EXPECT_GT(model.noise_margin(op, dev::MtjState::kParallel, zo), op.margin);
-  EXPECT_LT(model.noise_margin(op, dev::MtjState::kAntiParallel, zo),
-            op.margin);
+  EXPECT_GT(margin(dev::MtjState::kParallel, zo), op.margin);
+  EXPECT_LT(margin(dev::MtjState::kAntiParallel, zo), op.margin);
 }
 
 // --- workload wirings: overlap-regime agreement -----------------------------
@@ -648,8 +741,10 @@ TEST(RareEventDeterminism, AdaptiveDriversRefuseShardMode) {
                                         return util::WeightedStats{};
                                       }),
                util::ConfigError);
-  EXPECT_THROW(eng::subset_simulation(runner, 1, 16, 1, cfg,
-                                      [](const double* z) { return z[0]; }),
+  EXPECT_THROW(eng::subset_simulation(
+                   runner, 1, 16, 1, cfg,
+                   [](std::size_t n, const double* z, std::size_t,
+                      double* out) { std::copy_n(z, n, out); }),
                util::ConfigError);
   auto disturb = fast_disturb_config();
   disturb.rare.method = eng::RareEventMethod::kSplitting;

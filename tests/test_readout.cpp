@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "disturb_oracle.h"
+#include "engine/rare_event.h"
 #include "mram/march.h"
 #include "mram/mram_array.h"
 #include "obs/metrics.h"
@@ -339,6 +341,129 @@ TEST(ReadErrorModel, CellReadSolvesTheDivider) {
   // The P branch is TMR-independent.
   EXPECT_DOUBLE_EQ(model.cell_read(op.port, MtjState::kParallel, 1.5).i_cell,
                    model.cell_read(op.port, MtjState::kParallel, 1.0).i_cell);
+}
+
+/// The AP fixed point written out on its own, one read at a time: cell_read
+/// and the lane margin share one body, so a change to that body shows only
+/// against an independent copy. Adds the iterations run to `sweeps`.
+ReadErrorModel::CellRead reference_ap_read(const ReadErrorModel& model,
+                                           const ReadPort& port,
+                                           double tmr_mult,
+                                           std::size_t& sweeps) {
+  const auto& ep = model.device().params().electrical;
+  const double rp = model.device().electrical().rp();
+  const double r_series = port.r_thevenin + model.path().transistor.r_read;
+  const auto r_ap = [&](double v) {
+    const double x = v / ep.vh;
+    return rp * (1.0 + tmr_mult * ep.tmr0 / (1.0 + x * x));
+  };
+  double v = port.v_thevenin * r_ap(0.0) / (r_ap(0.0) + r_series);
+  for (int iter = 0; iter < 100; ++iter) {
+    const double r = r_ap(v);
+    const double v_next = port.v_thevenin * r / (r + r_series);
+    const bool converged = std::abs(v_next - v) < 1e-15 * port.v_thevenin;
+    v = v_next;
+    ++sweeps;
+    if (converged) break;
+  }
+  ReadErrorModel::CellRead read;
+  read.v_mtj = v;
+  read.i_cell = v / r_ap(v);
+  return read;
+}
+
+/// The noise margin of one read built from cell_read: the one-read
+/// arithmetic the lane kernels must reproduce bit for bit.
+double scalar_margin(const ReadErrorModel& model,
+                     const ReadErrorModel::OperatingPoint& op,
+                     MtjState stored, const double z[3]) {
+  const ReadPathConfig& path = model.path();
+  const double tmr_mult = std::max(1.0 + path.tmr_sigma_rel * z[0], 0.05);
+  const auto read = model.cell_read(op.port, stored, tmr_mult);
+  const double offset = path.sense.offset_sigma * z[1];
+  const double ref_error = path.sense.reference_sigma * z[2];
+  const double differential = (read.i_cell + offset) - (op.i_ref + ref_error);
+  return stored == MtjState::kParallel ? differential : -differential;
+}
+
+TEST(ReadErrorModel, LaneNoiseMarginMatchesCellReadBitwise) {
+  // Every version of the lane margin this CPU runs, against cell_read one
+  // read at a time: stored P and AP, random deviates plus TMR deviates deep
+  // enough to hit the 0.05 clamp, every lane count up to two rare-event
+  // lane blocks and a row stride wider than the count. Lanes past n keep
+  // their sentinels, and a group sweeps exactly until its slowest read
+  // converges: inactive lanes never drive the loop.
+  const auto params = dev::MtjParams::reference_device(35e-9);
+  util::Rng rng(77);
+  const std::vector<int> column = {0, 1, 1, 0, 1, 0, 0, 1,
+                                   1, 1, 0, 0, 1, 0, 1, 0};
+  for (const double v_read : {0.04, 0.18, 0.6}) {
+    const ReadErrorModel model(params, small_path(v_read));
+    const auto op = model.operating_point(15, column);
+    constexpr std::size_t kMax = 2 * eng::kRareLanes + 3;
+    constexpr std::size_t ld = kMax + 5;
+    std::vector<double> z(3 * ld);
+    rng.normal_fill(z.data(), z.size());
+    for (std::size_t d = 0; d < 3; ++d) z[d * ld + 5] = 0.0;
+    z[2] = -40.0;    // tmr_mult 1 - 1.2: clamped to 0.05
+    z[9] = -1e6;     // clamped
+    z[11] = 12.0;    // far upper tail
+    // A run of clamped reads from lane 24 on: they converge in fewer
+    // sweeps than unclamped ones, so a lane past n that ran would show.
+    for (std::size_t l = 24; l < kMax; ++l) z[l] = -50.0;
+    std::vector<std::size_t> solo(kMax);  // fixed-point sweeps per read
+    for (std::size_t l = 0; l < kMax; ++l) {
+      const double tmr_mult =
+          std::max(1.0 + model.path().tmr_sigma_rel * z[l], 0.05);
+      const auto got =
+          model.cell_read(op.port, MtjState::kAntiParallel, tmr_mult);
+      const auto want = reference_ap_read(model, op.port, tmr_mult, solo[l]);
+      ASSERT_TRUE(same_bits(got.v_mtj, want.v_mtj)) << "lane " << l;
+      ASSERT_TRUE(same_bits(got.i_cell, want.i_cell)) << "lane " << l;
+    }
+    for (const MtjState stored :
+         {MtjState::kParallel, MtjState::kAntiParallel}) {
+      for (int isa = 0; isa <= static_cast<int>(detail::ladder_isa());
+           ++isa) {
+        const auto version = static_cast<detail::LadderIsa>(isa);
+        const std::size_t width = detail::isa_lanes(version);
+        for (std::size_t n = 1; n <= kMax; ++n) {
+          std::vector<double> out(ld, -7.0);
+          const std::size_t sweeps = detail::margin_lanes(
+              model, version, op, stored, n, z.data(), ld, out.data());
+          std::size_t want_sweeps = 0;
+          for (std::size_t g = 0; stored == MtjState::kAntiParallel && g < n;
+               g += width) {
+            want_sweeps += *std::max_element(
+                solo.begin() + g, solo.begin() + std::min(g + width, n));
+          }
+          EXPECT_EQ(sweeps, want_sweeps) << "isa " << isa << " n " << n;
+          for (std::size_t l = 0; l < ld; ++l) {
+            if (l >= n) {
+              ASSERT_EQ(out[l], -7.0) << "lane past n written";
+              continue;
+            }
+            const double zl[3] = {z[l], z[ld + l], z[2 * ld + l]};
+            const double want = scalar_margin(model, op, stored, zl);
+            ASSERT_TRUE(same_bits(out[l], want))
+                << "isa " << isa << " v_read " << v_read << " stored "
+                << static_cast<int>(stored) << " n " << n << " lane " << l
+                << ": " << out[l] << " vs " << want;
+          }
+        }
+      }
+      // The library entry point runs the widest version.
+      std::vector<double> out(kMax);
+      model.noise_margin(op, stored, kMax, z.data(), ld, out.data());
+      for (std::size_t l = 0; l < kMax; ++l) {
+        const double zl[3] = {z[l], z[ld + l], z[2 * ld + l]};
+        ASSERT_TRUE(same_bits(out[l], scalar_margin(model, op, stored, zl)));
+      }
+      // Zero deviates give the nominal margin.
+      ASSERT_TRUE(same_bits(out[5], op.margin) ||
+                  std::abs(out[5] - op.margin) <= 1e-15 * op.margin);
+    }
+  }
 }
 
 TEST(ReadErrorModel, DisturbProbabilityPhysics) {
@@ -678,6 +803,38 @@ TEST(MarchReadPath, HookRejectsMismatchedColumnLength) {
   const auto hook = make_march_read_hook(model);
   util::Rng rng(43);
   EXPECT_THROW(hook(array, 0, 0, rng), util::ContractViolation);
+}
+
+TEST(MarchReadPath, HookCachesTheOperatingPointPerRowAndColumnData) {
+  // The operating point depends on the row and the column's data, not on
+  // which column holds it: reading the same row of another column with
+  // the same data reuses the cached solve.
+  mem::ArrayConfig cfg;
+  cfg.device = dev::MtjParams::reference_device(35e-9);
+  cfg.pitch = 2.0 * 35e-9;
+  cfg.rows = cfg.cols = 5;
+  mem::MramArray array(cfg);
+  ReadPathConfig path;
+  path.bitline.rows = cfg.rows;
+  const ReadErrorModel model(cfg.device, path);
+  const auto hook = make_march_read_hook(model, cfg.temperature);
+  obs::Registry reg;
+  obs::ScopedRegistry guard(&reg);
+  util::Rng rng(44);
+  const auto solves = [&] {
+    return reg.snapshot().counters.at("readout.ladder_solves");
+  };
+  hook(array, 2, 0, rng);
+  EXPECT_EQ(solves(), 1u);
+  hook(array, 2, 3, rng);  // same row, same (all-0) data
+  EXPECT_EQ(solves(), 1u);
+  hook(array, 4, 3, rng);  // another row
+  EXPECT_EQ(solves(), 2u);
+  arr::DataGrid grid = array.data();
+  grid.set(0, 1, 1);
+  array.load(grid);
+  hook(array, 4, 1, rng);  // same row, different data
+  EXPECT_EQ(solves(), 3u);
 }
 
 TEST(MarchReadPath, FaultClassNames) {
