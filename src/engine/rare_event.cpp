@@ -75,7 +75,9 @@ struct ScorePartial {
 /// to a generation partial, trial-major like the merged generation.
 void append_lane(ScorePartial& acc, const double* z, std::size_t dim,
                  std::size_t l, double score) {
-  for (std::size_t d = 0; d < dim; ++d) acc.zs.push_back(z[d * kRareLanes + l]);
+  for (std::size_t d = 0; d < dim; ++d) {
+    acc.zs.push_back(z[d * kRareLanes + l]);
+  }
   acc.scores.push_back(score);
 }
 

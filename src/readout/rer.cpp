@@ -110,7 +110,9 @@ RerResult measure_rer(const RerConfig& config, util::Rng& rng,
                   double z[3 * W], margin[W];
                   util::Rng::normal_fill_lanes(rngs, n, z, W, 3);
                   for (std::size_t d = 0; d < 3; ++d) {
-                    for (std::size_t l = 0; l < n; ++l) z[d * W + l] += tilt[d];
+                    for (std::size_t l = 0; l < n; ++l) {
+                      z[d * W + l] += tilt[d];
+                    }
                   }
                   model.noise_margin(op, config.stored, n, z, W, margin);
                   for (std::size_t l = 0; l < n; ++l) {
