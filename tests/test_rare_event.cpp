@@ -436,11 +436,11 @@ TEST(RareEvent, LaneSubsetSimulationMatchesScalarOracleBitwise) {
           EXPECT_TRUE(same_bits(got.confidence.hi, want.confidence.hi));
           ASSERT_EQ(got.level_probabilities.size(),
                     want.level_probabilities.size());
-          EXPECT_EQ(std::memcmp(got.level_probabilities.data(),
-                                want.level_probabilities.data(),
-                                want.level_probabilities.size() *
-                                    sizeof(double)),
-                    0);
+          for (std::size_t k = 0; k < want.level_probabilities.size(); ++k) {
+            EXPECT_TRUE(same_bits(got.level_probabilities[k],
+                                  want.level_probabilities[k]))
+                << "level " << k;
+          }
           const auto ws = want_reg.snapshot();
           const auto gs = got_reg.snapshot();
           EXPECT_EQ(counter(gs, "rare.mcmc.proposals"),
